@@ -1,0 +1,155 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/trace"
+	"repro/internal/valency"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/witness_sha256.golden from the current output")
+
+// goldenWitnessFile pins the sha256 of every witness the exploration
+// engines produce: Theorem 1 constructions, sequential distributed-run
+// references at one and four workers, and an in-process distributed run.
+// It is the contract a refactor of the engines must keep byte for byte.
+const goldenWitnessFile = "testdata/witness_sha256.golden"
+
+// Dist specs of the corpus: n=4 at depth 18 is the benchmark's dist run,
+// n=3 at depth 12 a small one. Unbounded DiskRace dist runs overflow the
+// default configuration cap.
+var goldenDistDepth = map[int]int{3: 12, 4: 18}
+
+// TestWitnessGoldenCorpus renders each witness of the corpus and compares
+// its sha256 with testdata/witness_sha256.golden. Regenerate the file with
+// `go test ./cmd/spacebound -run WitnessGoldenCorpus -update` only when a
+// witness is meant to change.
+func TestWitnessGoldenCorpus(t *testing.T) {
+	ctx := context.Background()
+	got := map[string]string{}
+	record := func(name string, witness []byte) {
+		got[name] = fmt.Sprintf("%x", sha256.Sum256(witness))
+	}
+
+	m, opts, err := core.Machine(core.ProtocolDiskRace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 4} {
+		o := opts
+		o.Workers = 1
+		w, err := adversary.New(valency.New(o)).Theorem1(ctx, m, n)
+		if err != nil {
+			t.Fatalf("Theorem1 n=%d: %v", n, err)
+		}
+		record(fmt.Sprintf("theorem1_diskrace_n%d_w1", n), []byte(trace.RenderWitness(w)))
+	}
+
+	for _, n := range []int{3, 4} {
+		run, err := dist.NewRun(core.ProtocolDiskRace, n, 1, goldenDistDepth[n], time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			o := run.Opts
+			o.Workers = workers
+			witness, err := dist.SequentialWitness(ctx, run.Spec, run.Root, run.Procs, o)
+			if err != nil {
+				t.Fatalf("SequentialWitness n=%d workers=%d: %v", n, workers, err)
+			}
+			record(fmt.Sprintf("dist_sequential_diskrace_n%d_d%d_w%d", n, goldenDistDepth[n], workers), witness)
+		}
+	}
+
+	record(fmt.Sprintf("dist_inprocess_diskrace_n3_d%d_2slices_2workers", goldenDistDepth[3]), inProcessDistWitness(t, 3, 2, goldenDistDepth[3]))
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var rendered strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&rendered, "%s %s\n", got[name], name)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(goldenWitnessFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenWitnessFile, []byte(rendered.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenWitnessFile)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/spacebound -run WitnessGoldenCorpus -update` to create it)", err)
+	}
+	if !bytes.Equal(want, []byte(rendered.String())) {
+		t.Errorf("witness corpus drifted from %s.\n--- got ---\n%s--- want ---\n%s", goldenWitnessFile, rendered.String(), want)
+	}
+}
+
+// inProcessDistWitness runs a coordinator behind an httptest server with
+// the given number of slices and as many shard-worker goroutines, and
+// returns the merged witness.
+func inProcessDistWitness(t *testing.T, n, slices, depth int) []byte {
+	t.Helper()
+	run, err := dist.NewRun(core.ProtocolDiskRace, n, slices, depth, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := run.Coordinator(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, slices)
+	for i := range errs {
+		w := &dist.Worker{
+			ID:    fmt.Sprintf("w%d", i),
+			URL:   srv.URL,
+			Root:  run.Root,
+			Procs: run.Procs,
+			Opts:  run.Opts,
+			Seed:  int64(i + 1),
+			// Poll briskly: the default idle wait is a fifth of the lease.
+			PollInterval: 5 * time.Millisecond,
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = w.Run(ctx)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("worker w%d: %v", i, err)
+		}
+	}
+	witness, err := coord.Witness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return witness
+}
