@@ -63,9 +63,10 @@ func newClient(base, worker string, seed int64) *client {
 	}
 }
 
-// backoff computes the delay before retry attempt (1-based), doubling from
-// clientRetryBase, capped, plus up to 25% jitter.
-func (cl *client) backoff(attempt int) time.Duration {
+// retryDelay computes the delay before retry attempt (1-based): doubling
+// from clientRetryBase, capped, plus up to 25% jitter, and never less than
+// the Retry-After the failed attempt's response asked for (0 = none).
+func (cl *client) retryDelay(attempt int, retryAfter time.Duration) time.Duration {
 	d := clientRetryBase
 	for i := 1; i < attempt && d < clientRetryMax; i++ {
 		d *= 2
@@ -73,7 +74,7 @@ func (cl *client) backoff(attempt int) time.Duration {
 	if d > clientRetryMax {
 		d = clientRetryMax
 	}
-	return d + time.Duration(cl.rng.Int63n(int64(d/4)+1))
+	return max(d+time.Duration(cl.rng.Int63n(int64(d/4)+1)), retryAfter)
 }
 
 // sleep waits for d or until ctx is cancelled.
@@ -96,11 +97,13 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 		u += "?" + query.Encode()
 	}
 	var lastErr error
+	var retryAfter time.Duration
 	for attempt := 1; attempt <= clientAttempts; attempt++ {
 		if attempt > 1 {
-			if err := sleep(ctx, cl.backoff(attempt-1)); err != nil {
+			if err := sleep(ctx, cl.retryDelay(attempt-1, retryAfter)); err != nil {
 				return nil, nil, err
 			}
+			retryAfter = 0
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 		if err != nil {
@@ -119,23 +122,13 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 		switch {
 		case resp.StatusCode == http.StatusConflict:
 			return nil, nil, fmt.Errorf("%w: %s %s: %s", ErrLeaseLost, method, path, bytes.TrimSpace(respBody))
-		case resp.StatusCode == http.StatusTooManyRequests:
-			lastErr = fmt.Errorf("dist: %s %s: 429", method, path)
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				if err := sleep(ctx, time.Duration(ra)*time.Second); err != nil {
-					return nil, nil, err
-				}
-			}
-			continue
-		case resp.StatusCode >= 500:
-			// A recovering coordinator answers 503 + Retry-After; honouring
-			// it (in place of one backoff step) keeps the retry cadence
-			// aligned with the recovery sweep instead of hammering it.
+		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
+			// A recovering coordinator answers 503 + Retry-After; flooring
+			// the next backoff step at it keeps the retry cadence aligned
+			// with the recovery sweep instead of hammering it.
 			lastErr = fmt.Errorf("dist: %s %s: %s", method, path, resp.Status)
 			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				if err := sleep(ctx, time.Duration(ra)*time.Second); err != nil {
-					return nil, nil, err
-				}
+				retryAfter = time.Duration(ra) * time.Second
 			}
 			continue
 		case resp.StatusCode >= 400:
@@ -235,7 +228,7 @@ func (cl *client) getChunk(ctx context.Context, level, from, to int, retried fun
 			if retried != nil {
 				retried()
 			}
-			if err := sleep(ctx, cl.backoff(attempt-1)); err != nil {
+			if err := sleep(ctx, cl.retryDelay(attempt-1, 0)); err != nil {
 				return nil, err
 			}
 		}

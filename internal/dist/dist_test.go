@@ -147,6 +147,10 @@ func TestSingleWorkerOwnsAllSlices(t *testing.T) {
 func TestStallRecovery(t *testing.T) {
 	tr := newTestRun(t, 3, 3, 6, 200)
 	stall := &faults.ShardFault{Kind: "stall", Level: 2, Stall: 1200 * time.Millisecond}
+	// Lease sleepy a slice before either worker starts: otherwise steady
+	// can win every grant before sleepy's first poll lands, the stall
+	// never hits a slice owner, and the test proves nothing.
+	tr.coord.poll("sleepy")
 	got := tr.runWorkers(t, tr.worker("steady", 11, nil), tr.worker("sleepy", 12, stall))
 	if want := tr.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("witness after stall recovery differs:\n--- distributed\n%s--- sequential\n%s", got, want)

@@ -69,8 +69,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	if spec.Slices < 1 {
 		return fmt.Errorf("dist: spec has %d slices", spec.Slices)
 	}
-	fpr := w.Opts.NewFingerprinter()
-	rootFP := fpr.Fingerprint(w.Root)
+	// The codec's dictionary ids are local to this Run; exchange chunks
+	// carry fingerprints and move paths, never packed records.
+	x := explore.NewExpander(model.NewPackedCodec(w.Root), w.Opts)
+	rootFP := w.Opts.Fingerprint(w.Root)
 	idle := w.PollInterval
 	if idle <= 0 {
 		idle = time.Duration(spec.LeaseMS) * time.Millisecond / 5
@@ -147,7 +149,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			var err error
 			switch {
 			case resp.Phase == phaseExpand && !ps.Expanded:
-				err = w.expand(ctx, cl, spec, fpr, s, st, resp.Level, &faultFired)
+				err = w.expand(ctx, cl, spec, x, s, st, resp.Level, &faultFired)
 			case resp.Phase == phaseIngest && !ps.Ingested:
 				err = w.ingest(ctx, cl, s, st, resp.Level)
 			default:
@@ -242,11 +244,11 @@ func (w *Worker) postCheckpoint(ctx context.Context, cl *client, spec Spec, s in
 	return nil
 }
 
-// expand runs the slice's expand phase at level: replay each frontier
-// entry to a configuration, apply every enabled move, and bucket the
-// children by destination slice; then ship the buckets as verified chunks
-// and post the expand barrier mark with the transition count.
-func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore.Fingerprinter, s int, st *sliceState, level int, faultFired *bool) error {
+// expand runs the slice's expand phase at level: expand every frontier
+// entry, bucketing the children by destination slice; then ship the
+// buckets as verified chunks and post the expand barrier mark with the
+// transition count.
+func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, x *explore.Expander, s int, st *sliceState, level int, faultFired *bool) error {
 	if st.lastCkpt < level {
 		if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
 			return err
@@ -261,25 +263,12 @@ func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore
 		lastBeat := time.Now()
 		outgoing := make(map[int][]Entry)
 		var steps int64
-		var moves []model.Move
 		for i := range st.frontier {
-			e := &st.frontier[i]
-			cfg := e.Replay(w.Root)
-			moves = explore.AppendMoves(moves[:0], cfg, w.Procs)
-			for _, mv := range moves {
-				child := explore.Apply(cfg, mv)
-				steps++
-				fp := fpr.Fingerprint(child)
-				packed, err := model.PackMove(mv)
-				if err != nil {
-					return err
-				}
-				path := make([]uint32, len(e.Path)+1)
-				copy(path, e.Path)
-				path[len(e.Path)] = packed
-				dest := explore.ShardOf(fp, spec.Slices)
-				outgoing[dest] = append(outgoing[dest], Entry{FP: fp, Path: path})
+			n, err := w.expandEntry(x, &st.frontier[i], spec.Slices, outgoing)
+			if err != nil {
+				return err
 			}
+			steps += n
 			// A big level must not cost us the lease mid-expansion.
 			if time.Since(lastBeat) > heartbeatEvery {
 				if err := cl.heartbeat(ctx); err != nil {
@@ -313,6 +302,39 @@ func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore
 		}
 	}
 	return cl.postExpanded(ctx, s, level, st.steps)
+}
+
+// expandEntry replays e's path once, packs the configuration it reaches,
+// and appends each child to outgoing under its owning slice, in move
+// order. It returns the number of transitions taken. The order is part of
+// the chunks' byte determinism: a redone expansion must post identical
+// bytes.
+func (w *Worker) expandEntry(x *explore.Expander, e *Entry, slices int, outgoing map[int][]Entry) (int64, error) {
+	rec, err := x.Pack(e.Replay(w.Root))
+	if err != nil {
+		return 0, err
+	}
+	moves := x.Moves(rec, w.Procs)
+	for _, mv := range moves {
+		child, err := x.Step(rec, mv)
+		if err != nil {
+			return 0, err
+		}
+		fp, _, err := x.Fingerprint(child)
+		if err != nil {
+			return 0, err
+		}
+		packed, err := model.PackMove(mv)
+		if err != nil {
+			return 0, err
+		}
+		path := make([]uint32, len(e.Path)+1)
+		copy(path, e.Path)
+		path[len(e.Path)] = packed
+		dest := explore.ShardOf(fp, slices)
+		outgoing[dest] = append(outgoing[dest], Entry{FP: fp, Path: path})
+	}
+	return int64(len(moves)), nil
 }
 
 // ingestChunks fetches and ingests every retained chunk addressed to slice

@@ -12,12 +12,12 @@ import (
 	"repro/internal/model"
 )
 
-// TestArenaMatchesLegacyFrontier is the packed hot path's equivalence
+// TestArenaMatchesLegacyFrontier is the packed engine's equivalence
 // property: on every zoo protocol — DiskRace n=3 and a deep linear chain
-// included — the arena frontier (packed codec, stepper, raw pre-dedup)
-// and the legacy Config frontier must produce identical Counts, Steps,
-// visit IDs, canonical keys per ID, and visited fingerprint sets, for
-// both a single worker and a parallel pool. Run under -race it also
+// included — Reach (packed codec, stepper, raw pre-dedup) and the naive
+// reference BFS (Apply, string keys, a map) must produce identical Counts
+// and Steps, identical canonical keys per visit ID at one worker, and
+// identical visited fingerprint sets at four. Run under -race it also
 // checks the arena path's synchronisation.
 func TestArenaMatchesLegacyFrontier(t *testing.T) {
 	forcePool(t)
@@ -29,14 +29,13 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 	})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			type run struct {
-				res  *Result
-				keys []string
+			naive := naiveReach(tc.config, tc.pids, tc.opts)
+			if naive.capped != tc.capped {
+				t.Fatalf("naive BFS capped=%v, case expects %v", naive.capped, tc.capped)
 			}
-			runWith := func(workers int, legacy bool) run {
+			for _, workers := range []int{1, 4} {
 				opts := tc.opts
 				opts.Workers = workers
-				opts.legacyFrontier = legacy
 				var keys []string
 				res, err := Reach(context.Background(), tc.config, tc.pids, opts, func(v Visit) bool {
 					if v.ID != len(keys) {
@@ -46,30 +45,25 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 					return true
 				})
 				if err != nil && !tc.capped {
-					t.Fatalf("workers=%d legacy=%v: %v", workers, legacy, err)
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				return run{res: res, keys: keys}
-			}
-			for _, workers := range []int{1, 4} {
-				legacy := runWith(workers, true)
-				packed := runWith(workers, false)
-				if packed.res.Count != legacy.res.Count {
-					t.Errorf("workers=%d: packed Count=%d, legacy=%d", workers, packed.res.Count, legacy.res.Count)
+				if res.Count != len(naive.keys) {
+					t.Errorf("workers=%d: Count=%d, naive=%d", workers, res.Count, len(naive.keys))
 				}
-				if !tc.capped && packed.res.Steps != legacy.res.Steps {
-					t.Errorf("workers=%d: packed Steps=%d, legacy=%d", workers, packed.res.Steps, legacy.res.Steps)
+				if !tc.capped && res.Steps != naive.steps {
+					t.Errorf("workers=%d: Steps=%d, naive=%d", workers, res.Steps, naive.steps)
 				}
-				if len(packed.keys) != len(legacy.keys) {
-					t.Fatalf("workers=%d: packed visited %d configs, legacy %d", workers, len(packed.keys), len(legacy.keys))
+				if len(keys) != len(naive.keys) {
+					t.Fatalf("workers=%d: Reach visited %d configs, naive %d", workers, len(keys), len(naive.keys))
 				}
 				if workers == 1 {
-					// A single worker is fully deterministic: the packed
-					// path must reproduce the legacy visit sequence id
-					// for id, key for key.
-					for id := range packed.keys {
-						if packed.keys[id] != legacy.keys[id] {
-							t.Fatalf("workers=%d: id %d key %q (packed) != %q (legacy)",
-								workers, id, packed.keys[id], legacy.keys[id])
+					// A single worker is fully deterministic: Reach must
+					// reproduce the naive visit sequence id for id, key
+					// for key.
+					for id := range keys {
+						if keys[id] != naive.keys[id] {
+							t.Fatalf("workers=%d: id %d key %q (Reach) != %q (naive)",
+								workers, id, keys[id], naive.keys[id])
 						}
 					}
 				}
@@ -95,9 +89,9 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 					})
 					return out
 				}
-				pf, lf := fps(packed.keys), fps(legacy.keys)
+				pf, nf := fps(keys), fps(naive.keys)
 				for i := range pf {
-					if pf[i] != lf[i] {
+					if pf[i] != nf[i] {
 						t.Fatalf("workers=%d: fingerprint sets diverge at %d", workers, i)
 					}
 				}
@@ -107,9 +101,8 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 }
 
 // TestArenaPathsReplay: witness paths recorded by the packed path must
-// replay to configurations with the recorded canonical keys, exactly like
-// the legacy path's (covering the via/parent bookkeeping in the arena
-// merge).
+// replay to configurations with the recorded canonical keys (covering the
+// via/parent bookkeeping in the arena merge).
 func TestArenaPathsReplay(t *testing.T) {
 	forcePool(t)
 	disk := consensus.DiskRace{}
@@ -134,32 +127,28 @@ func TestArenaPathsReplay(t *testing.T) {
 	}
 }
 
-// TestArenaSpillMatchesLegacySpill drives both frontier representations
-// through the spill path (budget 1 spills every batch) and demands the
-// identical visit sequence: the packed spill chunks must round-trip
-// through disk exactly like the legacy Config chunks.
+// TestArenaSpillMatchesLegacySpill drives Reach through the spill path
+// (budget 1 spills every batch) and demands the naive reference's visit
+// sequence: the packed spill chunks must round-trip through disk without
+// changing a single visit.
 func TestArenaSpillMatchesLegacySpill(t *testing.T) {
 	c := model.NewConfig(chainMachine{}, []model.Value{"4", "4"})
 	p := []int{0, 1}
-	run := func(legacy bool) []string {
-		opts := Options{Workers: 1, SpillDir: t.TempDir(), SpillBudget: 1}
-		opts.legacyFrontier = legacy
-		var keys []string
-		if _, err := Reach(context.Background(), c, p, opts, func(v Visit) bool {
-			keys = append(keys, opts.ConfigKey(v.Config))
-			return true
-		}); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		return keys
+	opts := Options{Workers: 1, SpillDir: t.TempDir(), SpillBudget: 1}
+	var keys []string
+	if _, err := Reach(context.Background(), c, p, opts, func(v Visit) bool {
+		keys = append(keys, opts.ConfigKey(v.Config))
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	legacy, packed := run(true), run(false)
-	if len(legacy) != len(packed) {
-		t.Fatalf("packed spill visited %d configs, legacy %d", len(packed), len(legacy))
+	naive := naiveReach(c, p, opts)
+	if len(keys) != len(naive.keys) {
+		t.Fatalf("spilled Reach visited %d configs, naive %d", len(keys), len(naive.keys))
 	}
-	for i := range legacy {
-		if legacy[i] != packed[i] {
-			t.Fatalf("visit %d: packed %q, legacy %q", i, packed[i], legacy[i])
+	for i := range keys {
+		if keys[i] != naive.keys[i] {
+			t.Fatalf("visit %d: spilled Reach %q, naive %q", i, keys[i], naive.keys[i])
 		}
 	}
 }

@@ -107,28 +107,17 @@ func (s *search) restore(cp *LevelCheckpoint, res *Result, level *frontier, root
 	for _, fp := range cp.Fingerprints {
 		s.visited.Add(fp)
 	}
-	if s.codec != nil {
-		level.ids = make([]int32, 0, len(cp.Frontier))
-		level.words = make([]uint64, len(cp.Frontier)*s.stride)
-		for i, id := range cp.Frontier {
-			cfg, err := replayTo(res, root, int(id))
-			if err != nil {
-				return fmt.Errorf("explore: resume frontier: %w", err)
-			}
-			if err := s.codec.PackTo(level.words[i*s.stride:(i+1)*s.stride], cfg); err != nil {
-				return fmt.Errorf("explore: resume frontier: %w", err)
-			}
-			level.ids = append(level.ids, id)
-		}
-		return nil
-	}
-	level.mem = make([]levelEntry, 0, len(cp.Frontier))
-	for _, id := range cp.Frontier {
+	level.ids = make([]int32, 0, len(cp.Frontier))
+	level.words = make([]uint64, len(cp.Frontier)*s.stride)
+	for i, id := range cp.Frontier {
 		cfg, err := replayTo(res, root, int(id))
 		if err != nil {
 			return fmt.Errorf("explore: resume frontier: %w", err)
 		}
-		level.mem = append(level.mem, levelEntry{cfg: cfg, id: id})
+		if err := s.codec.PackTo(level.words[i*s.stride:(i+1)*s.stride], cfg); err != nil {
+			return fmt.Errorf("explore: resume frontier: %w", err)
+		}
+		level.ids = append(level.ids, id)
 	}
 	return nil
 }

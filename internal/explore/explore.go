@@ -103,27 +103,13 @@ type Options struct {
 	ResumeFrom *LevelCheckpoint
 	// SpillDir, with a positive SpillBudget, enables the frontier spill
 	// governor: when the accumulating next level exceeds SpillBudget bytes
-	// of retained configurations, cold chunks are flushed to id-list files
-	// under SpillDir and rebuilt by path replay when their turn comes.
+	// of packed frontier records, cold chunks are flushed to files under
+	// SpillDir and read back when their turn comes.
 	// Spilling never changes visit order, ids or witness paths.
 	SpillDir string
 	// SpillBudget is the approximate in-memory frontier byte budget; <= 0
 	// disables spilling.
 	SpillBudget int64
-	// legacyFrontier selects the original retained-Config frontier and
-	// Apply-per-transition expansion instead of the packed arena engine.
-	// Unexported: it exists so the equivalence tests can hold the two
-	// engines to identical results, not as a user-facing knob.
-	legacyFrontier bool
-}
-
-// ConfigKey returns the state identity of c under these options, in its
-// string reference form.
-func (o Options) ConfigKey(c model.Config) string {
-	if o.KeyFn != nil {
-		return o.KeyFn(c)
-	}
-	return c.Key()
 }
 
 // DefaultMaxConfigs is the visited-configuration cap used when
@@ -242,11 +228,9 @@ func Apply(c model.Config, m model.Move) model.Config {
 	return c.StepDet(m.Pid)
 }
 
-// levelEntry is one frontier configuration awaiting expansion. In packed
-// mode words is the entry's record in the frontier arena (the parent
-// template child packing patches); legacy mode leaves it nil.
+// levelEntry is one frontier configuration awaiting expansion: its node id
+// and its record in the frontier arena.
 type levelEntry struct {
-	cfg   model.Config
 	id    int32
 	words []uint64
 }
@@ -288,16 +272,14 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 		p:          p,
 		maxConfigs: maxConfigs,
 		visited:    mkSet(),
-		scratch:    newWorkerScratch(),
+		rawSeen:    mkSet(),
+		codec:      model.NewPackedCodec(c),
 		metrics:    newSearchMetrics(opts.Obs),
 	}
-	if !opts.legacyFrontier {
-		s.codec = model.NewPackedCodec(c)
-		s.stride = s.codec.Words()
-		s.rawSeen = mkSet()
-	}
+	s.stride = s.codec.Words()
+	s.x = NewExpander(s.codec, opts)
 	defer s.stopWorkers()
-	gov := newSpillGovernor(&opts, c, s.stride)
+	gov := newSpillGovernor(&opts, s.stride)
 
 	var level, next frontier
 	level.stride, next.stride = s.stride, s.stride
@@ -309,7 +291,15 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 		}
 		depth = int32(opts.ResumeFrom.Depth)
 	} else {
-		s.visited.Add(s.scratch.fingerprint(&opts, c))
+		rec, err := s.x.Pack(c)
+		if err != nil {
+			return res, fmt.Errorf("reach root: %w", err)
+		}
+		fp, _, err := s.x.Fingerprint(rec)
+		if err != nil {
+			return res, fmt.Errorf("reach root: %w", err)
+		}
+		s.visited.Add(fp)
 		res.nodes = append(res.nodes, node{parent: 0})
 		res.Count = 1
 		res.PeakFrontier = 1
@@ -317,15 +307,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 			res.Capped = true
 			return res, fmt.Errorf("reach from %d procs: %w", len(p), ErrCapped)
 		}
-		if s.codec != nil {
-			rec := make([]uint64, s.stride)
-			if err := s.codec.PackTo(rec, c); err != nil {
-				return res, fmt.Errorf("reach root: %w", err)
-			}
-			level.addPacked(0, rec, nil)
-		} else {
-			level.mem = append(level.mem, levelEntry{cfg: c, id: 0})
-		}
+		level.addPacked(0, rec, nil)
 	}
 
 	var buf batchBuf
@@ -359,7 +341,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 				if isSpill {
 					reloadStart = time.Now()
 				}
-				batch, err := level.batch(bi, res, c, &buf)
+				batch, err := level.batch(bi, &buf)
 				if err != nil {
 					res.Capped = true
 					return fmt.Errorf("reach frontier: %w (and %w)", err, ErrCapped)
@@ -401,11 +383,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 							res.Capped = true
 							return fmt.Errorf("reach hit %d configs: %w", maxConfigs, ErrCapped)
 						}
-						if s.codec != nil {
-							next.addPacked(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
-						} else {
-							next.add(levelEntry{cfg: sl.cfg, id: id}, gov)
-						}
+						next.addPacked(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
 					}
 				}
 			}

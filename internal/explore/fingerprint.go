@@ -2,7 +2,6 @@ package explore
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -21,8 +20,8 @@ import (
 //
 // The digest is mix128, a wyhash-style multiply-fold mix that consumes the
 // key eight bytes per load instead of FNV-128a's one multiply per byte;
-// the old FNV digest is retained as fingerprintFNV128, the cross-checked
-// reference the migration tests hold the new hash against (DESIGN.md S22).
+// the tests keep the old FNV digest as the cross-checked reference they
+// hold the new hash against (DESIGN.md S22).
 // Fingerprints are durable (checkpoint snapshots persist them), so
 // FingerprintVersion names the active function and changes whenever it
 // does.
@@ -93,13 +92,6 @@ func mix128(p []byte) Fingerprint {
 	return Fingerprint{h1, h2}
 }
 
-// fingerprintOf digests an already-materialised key string. It is the
-// reference form of hasher.fingerprint; the streaming path must produce
-// identical fingerprints (TestStreamingKeysMatchStringKeys).
-func fingerprintOf(key string) Fingerprint {
-	return mix128([]byte(key))
-}
-
 // mixWords digests a packed record (a []uint64 instance-local encoding)
 // with the same mixing rounds as mix128. It keys the raw-identity
 // / pre-filter in the explorer: packed records are exact encodings, so equal
@@ -126,23 +118,6 @@ func mixWords(ws []uint64) Fingerprint {
 	h1 = mum(h1^mixK3, h2^mixK1)
 	h2 = mum(h2^mixK0, h1^mixK2)
 	return Fingerprint{h1, h2}
-}
-
-// fingerprintFNV128 is the retired FNV-1a digest, kept as an independent
-// reference implementation: the migration tests run it alongside mix128
-// over the same key populations and require both to be injective, so a
-// defect in the new mix cannot hide behind its own output.
-func fingerprintFNV128(key string) Fingerprint {
-	h := fnv.New128a()
-	_, _ = h.Write([]byte(key))
-	var sum [16]byte
-	h.Sum(sum[:0])
-	var fp Fingerprint
-	for i := 0; i < 8; i++ {
-		fp[0] = fp[0]<<8 | uint64(sum[i])
-		fp[1] = fp[1]<<8 | uint64(sum[8+i])
-	}
-	return fp
 }
 
 // hasher is per-worker scratch for streaming a configuration's canonical

@@ -90,13 +90,11 @@ func (m *searchMetrics) level(s *search, next *frontier) {
 	m.arenaWords.Set(words)
 	m.arenaPeak.Max(words)
 	m.mergeBytes.Add(words * 8)
-	if s.codec != nil {
-		states, vals, maxSS, maxVS := s.codec.DictStats()
-		m.dictStates.Set(int64(states))
-		m.dictVals.Set(int64(vals))
-		m.dictStateSh.Set(int64(maxSS))
-		m.dictValSh.Set(int64(maxVS))
-	}
+	states, vals, maxSS, maxVS := s.codec.DictStats()
+	m.dictStates.Set(int64(states))
+	m.dictVals.Set(int64(vals))
+	m.dictStateSh.Set(int64(maxSS))
+	m.dictValSh.Set(int64(maxVS))
 }
 
 // spillReloaded records one spilled chunk's replay-from-disk latency.

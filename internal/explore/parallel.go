@@ -16,14 +16,10 @@ import (
 // duplicates (and hence the exact witness path) can vary between runs,
 // which is safe because equal fingerprints mean equal canonical keys.
 //
-// In the default packed mode, workers step into per-goroutine scratch
-// (model.StepInto) and encode each surviving child as a fixed-width packed
-// record by patching its parent's record — one state field, plus one value
-// field when the parent was write-poised — so the per-transition cost is a
-// scratch step, a streamed fingerprint and at most two dictionary lookups,
-// with no per-child slice allocations. The reference mode (Options.
-// legacyFrontier) keeps the original Apply-per-transition path; the
-// equivalence tests drive both and require identical results.
+// Every transition goes through an Expander: it steps the parent's packed
+// record in per-goroutine scratch (model.PackedStepper), so the
+// per-transition cost is a memoised step, a streamed fingerprint and at
+// most two dictionary lookups, with no per-child slice allocations.
 
 // chunksPerWorker over-partitions each level so a slow chunk does not
 // leave the rest of the pool idle.
@@ -49,9 +45,9 @@ type childSlot struct {
 
 // chunk is one contiguous slice [lo,hi) of the level being expanded, plus
 // the expansion output. Slot and arena buffers persist across levels to
-// keep the steady state allocation-free. In packed mode words holds the
-// packed record of slots[i] at [i*stride, (i+1)*stride) and slab owns the
-// slot configurations until the coordinator has merged them.
+// keep the steady state allocation-free. words holds the packed record of
+// slots[i] at [i*stride, (i+1)*stride) and slab owns the slot
+// configurations until the coordinator has merged them.
 type chunk struct {
 	lo, hi   int
 	slots    []childSlot
@@ -68,31 +64,82 @@ type chunk struct {
 	stepMisses uint64
 }
 
-// workerScratch is the per-goroutine reusable state: a moves buffer (legacy
-// mode), the packed transition engine with its memos and child buffers
-// (packed mode), and a streaming key hasher. The packed pieces are built
-// lazily on the first packed chunk the goroutine expands.
-type workerScratch struct {
-	moves      []model.Move
-	stepper    *model.PackedStepper
-	childWords []uint64
-	ustates    []model.State
-	uregs      []model.Value
-	*hasher
+// Expander is the exploration kernel every BFS in this repository steps
+// through: Reach's workers and the shard workers of internal/dist. It is
+// per-goroutine scratch — a PackedStepper with its memos, the record and
+// move buffers, and a streaming key hasher — over a PackedCodec that any
+// number of Expanders may share. Records are PackedCodec records; the
+// slices the methods return alias the scratch and stay valid only until
+// the next call of the same method. Not safe for concurrent use.
+type Expander struct {
+	codec   *model.PackedCodec
+	opts    Options
+	stepper *model.PackedStepper
+	parent  []uint64
+	child   []uint64
+	moves   []model.Move
+	ustates []model.State
+	uregs   []model.Value
+	hs      hasher
 }
 
-func newWorkerScratch() *workerScratch {
-	return &workerScratch{hasher: newHasher()}
-}
-
-func (ws *workerScratch) initPacked(codec *model.PackedCodec) {
-	if ws.stepper != nil {
-		return
+// NewExpander returns an Expander over codec that fingerprints under
+// opts' key function.
+func NewExpander(codec *model.PackedCodec, opts Options) *Expander {
+	return &Expander{
+		codec:   codec,
+		opts:    opts,
+		stepper: codec.NewStepper(),
+		parent:  make([]uint64, codec.Words()),
+		child:   make([]uint64, codec.Words()),
+		ustates: make([]model.State, codec.NumProcesses()),
+		uregs:   make([]model.Value, codec.NumRegisters()),
 	}
-	ws.stepper = codec.NewStepper()
-	ws.childWords = make([]uint64, codec.Words())
-	ws.ustates = make([]model.State, codec.NumProcesses())
-	ws.uregs = make([]model.Value, codec.NumRegisters())
+}
+
+// Pack packs c into the Expander's parent record and returns it. Its only
+// error is a dictionary outgrowing its field width (model.ErrPackedCapacity).
+func (x *Expander) Pack(c model.Config) ([]uint64, error) {
+	if err := x.codec.PackTo(x.parent, c); err != nil {
+		return nil, err
+	}
+	return x.parent, nil
+}
+
+// Moves lists the moves of the processes in p at record rec in
+// AppendMoves order: pid order, a decided process contributing none and a
+// coin-poised one its "0" outcome before its "1".
+func (x *Expander) Moves(rec []uint64, p []int) []model.Move {
+	x.moves = x.moves[:0]
+	for _, pid := range p {
+		switch kind, _ := x.stepper.Op(x.codec.StateID(rec, pid)); kind {
+		case model.OpDecide:
+		case model.OpCoin:
+			x.moves = append(x.moves, model.Move{Pid: pid, Coin: "0"}, model.Move{Pid: pid, Coin: "1"})
+		default:
+			x.moves = append(x.moves, model.Move{Pid: pid})
+		}
+	}
+	return x.moves
+}
+
+// Step returns the child record of rec under move m, one of rec's Moves.
+// rec must not be a record Step returned.
+func (x *Expander) Step(rec []uint64, m model.Move) ([]uint64, error) {
+	if err := x.stepper.StepPacked(x.child, rec, m.Pid, m.Coin); err != nil {
+		return nil, err
+	}
+	return x.child, nil
+}
+
+// Fingerprint unpacks rec and digests its canonical key under the
+// Expander's options. The returned Config aliases the unpack scratch.
+func (x *Expander) Fingerprint(rec []uint64) (Fingerprint, model.Config, error) {
+	c, err := x.codec.UnpackInto(rec, x.ustates, x.uregs)
+	if err != nil {
+		return Fingerprint{}, model.Config{}, err
+	}
+	return x.hs.fingerprint(&x.opts, c), c, nil
 }
 
 // search carries the state of one Reach call across levels.
@@ -108,11 +155,11 @@ type search struct {
 	// instance-scoped dictionary ids: never persisted in checkpoints (a
 	// resumed search just rebuilds it) and never mixed with visited.
 	rawSeen *fpSet
-	scratch *workerScratch // coordinator's own scratch, for inline expansion
-	metrics searchMetrics  // flight-recorder instruments, resolved once per Reach
+	x       *Expander     // coordinator's own kernel, for inline expansion
+	metrics searchMetrics // flight-recorder instruments, resolved once per Reach
 
 	// codec is the packed-configuration dictionary shared by all workers;
-	// nil in the legacy reference mode. stride is codec.Words().
+	// stride is codec.Words().
 	codec  *model.PackedCodec
 	stride int
 
@@ -136,7 +183,7 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 		s.ensureChunks(1)
 		ch := &s.chunks[0]
 		ch.lo, ch.hi = 0, len(level)
-		s.expandRange(ch, s.scratch)
+		s.expandRange(ch, s.x)
 		return s.chunks[:1]
 	}
 	if !s.started {
@@ -165,7 +212,16 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // conditions guarantee the coordinator caps the result, so truncated
 // output is never mistaken for exhaustion. A packing failure (dictionary
 // capacity) is parked in ch.err for the coordinator.
-func (s *search) expandRange(ch *chunk, ws *workerScratch) {
+//
+// A raw-identity pre-filter (a hash of the packed record itself) screens
+// out transitions that rebuild an already-produced record before the
+// canonical key is ever streamed; only raw-fresh children are unpacked and
+// fingerprinted canonically. The pre-filter is a pure shortcut: packed
+// records are exact, so a raw-duplicate's canonical fingerprint was
+// already added to the visited set when its identical twin was processed —
+// skipping it cannot change the visited set, the visit sequence or the
+// counters.
+func (s *search) expandRange(ch *chunk, x *Expander) {
 	// The previous level's slots were merged before this chunk was
 	// redispatched, so retiring the slab here cannot orphan a live clone.
 	ch.slots = ch.slots[:0]
@@ -174,24 +230,37 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 	ch.dupSteps = 0
 	ch.err = nil
 	ch.rawHits = 0
-	ch.stepHits, ch.stepMisses = 0, 0
-	if s.codec != nil {
-		s.expandRangePacked(ch, ws)
-		return
-	}
+	h0, m0 := x.stepper.Stats()
+	defer func() {
+		h, m := x.stepper.Stats()
+		ch.stepHits, ch.stepMisses = h-h0, m-m0
+	}()
 	steps := 0
 	for i := ch.lo; i < ch.hi; i++ {
 		ent := &s.level[i]
-		ws.moves = AppendMoves(ws.moves[:0], ent.cfg, s.p)
-		for _, m := range ws.moves {
+		for _, m := range x.Moves(ent.words, s.p) {
 			steps++
 			if steps%cancelPollStride == 0 {
 				if s.ctx.Err() != nil || s.visited.Len() > s.maxConfigs {
 					return
 				}
 			}
-			child := Apply(ent.cfg, m)
-			if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
+			child, err := x.Step(ent.words, m)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if !s.rawSeen.Add(mixWords(child)) {
+				ch.rawHits++
+				ch.dupSteps++
+				continue
+			}
+			fp, cfg, err := x.Fingerprint(child)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			if !s.visited.Add(fp) {
 				ch.dupSteps++
 				continue
 			}
@@ -200,86 +269,11 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 				ch.err = err
 				return
 			}
-			ch.slots = append(ch.slots, childSlot{cfg: child, via: via, parent: ent.id})
+			ch.words = append(ch.words, child...)
+			ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(cfg), via: via, parent: ent.id})
 		}
 	}
 }
-
-// expandRangePacked is the packed-mode hot loop. It never touches a
-// model.Config on the fast path: moves are enumerated from the parent's
-// interned state ids, transitions run through the per-worker stepper memo
-// directly on the packed words, and a raw-identity pre-filter (a hash of
-// the packed record itself) screens out transitions that rebuild an
-// already-produced record before the canonical key is ever streamed. Only
-// raw-fresh children are unpacked and fingerprinted canonically.
-//
-// The pre-filter is a pure shortcut: packed records are exact, so a
-// raw-duplicate's canonical fingerprint was already added to the visited
-// set when its identical twin was processed — skipping it cannot change
-// the visited set, the visit sequence or the counters.
-func (s *search) expandRangePacked(ch *chunk, ws *workerScratch) {
-	ws.initPacked(s.codec)
-	h0, m0 := ws.stepper.Stats()
-	defer func() {
-		h, m := ws.stepper.Stats()
-		ch.stepHits, ch.stepMisses = h-h0, m-m0
-	}()
-	steps := 0
-	for i := ch.lo; i < ch.hi; i++ {
-		ent := &s.level[i]
-		for _, pid := range s.p {
-			kind, _ := ws.stepper.Op(s.codec.StateID(ent.words, pid))
-			if kind == model.OpDecide {
-				continue
-			}
-			outcomes := 1
-			if kind == model.OpCoin {
-				outcomes = 2
-			}
-			for o := 0; o < outcomes; o++ {
-				steps++
-				if steps%cancelPollStride == 0 {
-					if s.ctx.Err() != nil || s.visited.Len() > s.maxConfigs {
-						return
-					}
-				}
-				coin := model.Bottom
-				if kind == model.OpCoin {
-					coin = coinOutcomes[o]
-				}
-				if err := ws.stepper.StepPacked(ws.childWords, ent.words, pid, coin); err != nil {
-					ch.err = err
-					return
-				}
-				if !s.rawSeen.Add(mixWords(ws.childWords)) {
-					ch.rawHits++
-					ch.dupSteps++
-					continue
-				}
-				child, err := s.codec.UnpackInto(ws.childWords, ws.ustates, ws.uregs)
-				if err != nil {
-					ch.err = err
-					return
-				}
-				if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
-					ch.dupSteps++
-					continue
-				}
-				via, err := model.PackMove(model.Move{Pid: pid, Coin: coin})
-				if err != nil {
-					ch.err = err
-					return
-				}
-				ch.words = append(ch.words, ws.childWords...)
-				ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(child), via: via, parent: ent.id})
-			}
-		}
-	}
-}
-
-// coinOutcomes lists the two coin results in the order AppendMoves emits
-// them, so packed and legacy mode expand transitions identically.
-var coinOutcomes = [2]model.Value{"0", "1"}
 
 func (s *search) ensureChunks(n int) {
 	for len(s.chunks) < n {
@@ -293,9 +287,9 @@ func (s *search) startWorkers(n int) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer s.wg.Done()
-			ws := newWorkerScratch()
+			x := NewExpander(s.codec, s.opts)
 			for ch := range s.workCh {
-				s.expandRange(ch, ws)
+				s.expandRange(ch, x)
 				s.levelWG.Done()
 			}
 		}()

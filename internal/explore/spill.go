@@ -10,72 +10,53 @@ import (
 	"log/slog"
 	"os"
 
-	"repro/internal/model"
 	"repro/internal/obs"
 )
 
-// Frontier storage and the spill governor. In the default packed mode a
-// BFS level is two flat arrays — node ids and a contiguous []uint64 arena
-// of fixed-width packed records, stride words per entry — and the level is
-// materialised into model.Config values only arenaBatch entries at a time,
-// immediately before expansion. The legacy reference mode (Options.
-// legacyFrontier) retains full configurations, as the engine originally
-// did; the equivalence tests hold the two modes to identical results.
+// Frontier storage and the spill governor. A BFS level is two flat arrays
+// — node ids and a contiguous []uint64 arena of fixed-width packed
+// records, stride words per entry — expanded arenaBatch entries at a time.
 //
 // On spaces whose widest level outgrows the spill budget, the governor
 // flushes cold runs of the accumulating next level to files under
-// SpillDir and drops them from memory. Packed spill chunks extend the
-// original id-list format in place: the same count-prefixed uvarint id
-// list, followed by the run's packed words verbatim, so reloading a chunk
-// is a read plus dictionary lookups instead of a witness-path replay per
-// entry (the legacy mode still replays). Chunks are flushed from the
-// front of the level and consumed before the in-memory remainder, so the
-// visit order — and therefore every id and witness path — is identical to
-// an unspilled run.
+// SpillDir and drops them from memory. A spill chunk is a count-prefixed
+// uvarint id list followed by the run's packed words verbatim, so
+// reloading a chunk is a read, not a witness-path replay per entry.
+// Chunks are flushed from the front of the level and consumed before the
+// in-memory remainder, so the visit order — and therefore every id and
+// witness path — is identical to an unspilled run.
 
-// arenaBatch is how many packed frontier entries are materialised into
-// configurations at once: large enough to amortise dispatch, small enough
-// that the transient Config working set stays a rounding error next to
-// the arena itself (a variable so the equivalence tests can force many
-// batches onto small spaces).
+// arenaBatch is how many packed frontier entries one expansion batch
+// holds: large enough to amortise dispatch, small enough that the batch's
+// slot configurations stay a rounding error next to the arena itself (a
+// variable so the equivalence tests can force many batches onto small
+// spaces).
 var arenaBatch = 8192
 
 // frontier holds one BFS level as spilled chunks (cold, on disk) followed
-// by the in-memory entries (hot), in visit order. Packed mode fills
-// ids/words; legacy mode fills mem.
+// by the in-memory entries (hot), in visit order.
 type frontier struct {
 	spilled []spillChunk
 
-	// stride is the packed record width in words; 0 selects legacy mode.
-	stride int
-	ids    []int32
-	words  []uint64
-
-	mem      []levelEntry
+	// stride is the packed record width in words.
+	stride   int
+	ids      []int32
+	words    []uint64
 	memBytes int64
 }
 
 // size returns the number of entries across disk and memory.
 func (f *frontier) size() int {
-	n := len(f.mem) + len(f.ids)
+	n := len(f.ids)
 	for _, ch := range f.spilled {
 		n += ch.count
 	}
 	return n
 }
 
-// add appends a freshly discovered legacy-mode entry, charging it to the
-// governor's budget and spilling the accumulated tail when over.
-func (f *frontier) add(e levelEntry, g *spillGovernor) {
-	f.mem = append(f.mem, e)
-	if g != nil {
-		f.memBytes += g.entrySize
-		g.maybeSpill(f)
-	}
-}
-
-// addPacked appends a freshly discovered packed entry: its node id and its
-// stride-long packed record.
+// addPacked appends a freshly discovered entry — its node id and its
+// stride-long packed record — charging it to the governor's budget and
+// spilling the accumulated tail when over.
 func (f *frontier) addPacked(id int32, rec []uint64, g *spillGovernor) {
 	f.ids = append(f.ids, id)
 	f.words = append(f.words, rec...)
@@ -86,16 +67,9 @@ func (f *frontier) addPacked(id int32, rec []uint64, g *spillGovernor) {
 }
 
 // numBatches returns how many expansion batches the level drains in: one
-// per spilled chunk, then the in-memory tail (in arenaBatch slices when
-// packed).
+// per spilled chunk, then the in-memory tail in arenaBatch slices.
 func (f *frontier) numBatches() int {
-	n := len(f.spilled)
-	if f.stride > 0 {
-		n += (len(f.ids) + arenaBatch - 1) / arenaBatch
-	} else if len(f.mem) > 0 {
-		n++
-	}
-	return n
+	return len(f.spilled) + (len(f.ids)+arenaBatch-1)/arenaBatch
 }
 
 // batchBuf is the coordinator's reusable batching scratch: the entry
@@ -107,43 +81,36 @@ type batchBuf struct {
 	words   []uint64
 }
 
-// batch returns the bi-th batch in frontier order, consuming (reading and
-// deleting) spill files as their turn comes. Packed batches are windowed
-// into buf; the legacy in-memory tail is returned as is.
-func (f *frontier) batch(bi int, res *Result, root model.Config, buf *batchBuf) ([]levelEntry, error) {
-	if f.stride > 0 {
-		var (
-			ids   []int32
-			words []uint64
-		)
-		if bi < len(f.spilled) {
-			ch := &f.spilled[bi]
-			var err error
-			buf.ids, buf.words, err = readSpillChunk(ch.path, f.stride, buf.ids[:0], buf.words[:0])
-			if err != nil {
-				return nil, err
-			}
-			os.Remove(ch.path)
-			ch.path = ""
-			ids, words = buf.ids, buf.words
-		} else {
-			lo := (bi - len(f.spilled)) * arenaBatch
-			hi := min(lo+arenaBatch, len(f.ids))
-			ids = f.ids[lo:hi]
-			words = f.words[lo*f.stride : hi*f.stride]
-		}
-		return buf.window(f.stride, ids, words), nil
-	}
+// batch returns the bi-th batch in frontier order, windowed into buf,
+// consuming (reading and deleting) spill files as their turn comes.
+func (f *frontier) batch(bi int, buf *batchBuf) ([]levelEntry, error) {
+	var (
+		ids   []int32
+		words []uint64
+	)
 	if bi < len(f.spilled) {
-		return f.spilled[bi].load(res, root, buf)
+		ch := &f.spilled[bi]
+		var err error
+		buf.ids, buf.words, err = readSpillChunk(ch.path, f.stride, buf.ids[:0], buf.words[:0])
+		if err != nil {
+			return nil, err
+		}
+		os.Remove(ch.path)
+		ch.path = ""
+		ids, words = buf.ids, buf.words
+	} else {
+		lo := (bi - len(f.spilled)) * arenaBatch
+		hi := min(lo+arenaBatch, len(f.ids))
+		ids = f.ids[lo:hi]
+		words = f.words[lo*f.stride : hi*f.stride]
 	}
-	return f.mem, nil
+	return buf.window(f.stride, ids, words), nil
 }
 
-// window wraps a run of packed records as levelEntry values. The packed
-// expansion path enumerates moves from the interned state ids and steps
-// directly on the words, so no configuration is decoded here — an entry is
-// just its node id and a view into the arena.
+// window wraps a run of packed records as levelEntry values. Expansion
+// enumerates moves from the interned state ids and steps directly on the
+// words, so no configuration is decoded here — an entry is just its node
+// id and a view into the arena.
 func (b *batchBuf) window(stride int, ids []int32, words []uint64) []levelEntry {
 	if cap(b.entries) < len(ids) {
 		b.entries = make([]levelEntry, len(ids))
@@ -160,26 +127,18 @@ func (b *batchBuf) window(stride int, ids []int32, words []uint64) []levelEntry 
 func (f *frontier) allIDs() ([]int32, error) {
 	out := make([]int32, 0, f.size())
 	for i := range f.spilled {
-		ids, err := readSpillChunkIDs(f.spilled[i].path)
-		if err != nil {
+		var err error
+		if out, _, err = readSpillChunk(f.spilled[i].path, f.stride, out, nil); err != nil {
 			return nil, err
 		}
-		out = append(out, ids...)
 	}
-	out = append(out, f.ids...)
-	for _, e := range f.mem {
-		out = append(out, e.id)
-	}
-	return out, nil
+	return append(out, f.ids...), nil
 }
 
-// clear retires a consumed frontier for reuse as the next accumulator:
-// configuration references are dropped so the previous level's heap can be
-// collected, and stray spill files are deleted.
+// clear retires a consumed frontier for reuse as the next accumulator,
+// deleting stray spill files.
 func (f *frontier) clear() {
 	f.discard()
-	clear(f.mem)
-	f.mem = f.mem[:0]
 	f.ids = f.ids[:0]
 	f.words = f.words[:0]
 	f.memBytes = 0
@@ -203,28 +162,6 @@ type spillChunk struct {
 	count int
 }
 
-// load reads a legacy chunk back, deletes its file, and rebuilds each
-// entry's configuration by path replay into buf.
-func (ch *spillChunk) load(res *Result, root model.Config, buf *batchBuf) ([]levelEntry, error) {
-	ids, _, err := readSpillChunk(ch.path, 0, buf.ids[:0], nil)
-	if err != nil {
-		return nil, err
-	}
-	buf.ids = ids
-	os.Remove(ch.path)
-	ch.path = ""
-	entries := buf.entries[:0]
-	for _, id := range ids {
-		cfg, err := replayTo(res, root, int(id))
-		if err != nil {
-			return nil, fmt.Errorf("explore: spilled frontier: %w", err)
-		}
-		entries = append(entries, levelEntry{cfg: cfg, id: id})
-	}
-	buf.entries = entries
-	return entries, nil
-}
-
 // spillGovernor owns the budget policy. nil disables spilling entirely.
 type spillGovernor struct {
 	dir       string
@@ -234,26 +171,17 @@ type spillGovernor struct {
 	disabled  bool
 }
 
-func newSpillGovernor(opts *Options, root model.Config, stride int) *spillGovernor {
+func newSpillGovernor(opts *Options, stride int) *spillGovernor {
 	if opts.SpillDir == "" || opts.SpillBudget <= 0 {
 		return nil
 	}
-	g := &spillGovernor{
+	return &spillGovernor{
 		dir:    opts.SpillDir,
 		budget: opts.SpillBudget,
-		scope:  opts.Obs,
+		// An entry is its id plus stride words of arena.
+		entrySize: 8*int64(stride) + 8,
+		scope:     opts.Obs,
 	}
-	if stride > 0 {
-		// A packed entry is its id plus stride words of arena.
-		g.entrySize = 8*int64(stride) + 8
-	} else {
-		// A legacy entry retains one immutable Config: two slice headers
-		// plus per-process state and per-register values. The constants are
-		// a deliberate overestimate — the budget is a brake, not an
-		// accounting system.
-		g.entrySize = 96 + 48*int64(root.NumProcesses()+root.NumRegisters())
-	}
-	return g
 }
 
 // maybeSpill flushes the accumulated in-memory tail once it exceeds the
@@ -261,30 +189,11 @@ func newSpillGovernor(opts *Options, root model.Config, stride int) *spillGovern
 // — spilling is a memory optimisation, never worth failing a proof over —
 // and is reported as a trace event.
 func (g *spillGovernor) maybeSpill(f *frontier) {
-	if g.disabled || f.memBytes <= g.budget {
+	entries := len(f.ids)
+	if g.disabled || f.memBytes <= g.budget || entries == 0 {
 		return
 	}
-	var (
-		path    string
-		bytes   int64
-		err     error
-		entries int
-	)
-	if f.stride > 0 {
-		if entries = len(f.ids); entries == 0 {
-			return
-		}
-		path, bytes, err = writeSpillChunk(g.dir, f.ids, f.words)
-	} else {
-		if entries = len(f.mem); entries == 0 {
-			return
-		}
-		ids := make([]int32, len(f.mem))
-		for i := range f.mem {
-			ids[i] = f.mem[i].id
-		}
-		path, bytes, err = writeSpillChunk(g.dir, ids, nil)
-	}
+	path, bytes, err := writeSpillChunk(g.dir, f.ids, f.words)
 	if err != nil {
 		g.disabled = true
 		g.scope.Event("spill_error", slog.String("err", err.Error()))
@@ -297,8 +206,6 @@ func (g *spillGovernor) maybeSpill(f *frontier) {
 		slog.Int64("bytes", bytes),
 	)
 	f.spilled = append(f.spilled, spillChunk{path: path, count: entries})
-	clear(f.mem)
-	f.mem = f.mem[:0]
 	f.ids = f.ids[:0]
 	f.words = f.words[:0]
 	f.memBytes = 0
@@ -388,7 +295,7 @@ func writeSpillChunk(dir string, ids []int32, words []uint64) (string, int64, er
 }
 
 // readSpillChunk reads a chunk file back into the provided (reusable)
-// slices: the id list, then — when stride > 0 — count*stride packed words.
+// slices: the id list, then count*stride packed words.
 // The file is verified against its checksum trailer in full before any
 // parsing; every malformation is reported wrapping ErrSpillCorrupt.
 func readSpillChunk(path string, stride int, ids []int32, words []uint64) ([]int32, []uint64, error) {
@@ -427,23 +334,12 @@ func readSpillChunk(path string, stride int, ids []int32, words []uint64) ([]int
 		body = body[n:]
 		ids = append(ids, int32(v))
 	}
-	if stride > 0 {
-		want := count * uint64(stride) * 8
-		if uint64(len(body)) != want {
-			return nil, nil, fmt.Errorf("%w: %s: %d word bytes, want %d", ErrSpillCorrupt, path, len(body), want)
-		}
-		for i := uint64(0); i < count*uint64(stride); i++ {
-			words = append(words, binary.LittleEndian.Uint64(body[i*8:]))
-		}
+	want := count * uint64(stride) * 8
+	if uint64(len(body)) != want {
+		return nil, nil, fmt.Errorf("%w: %s: %d word bytes, want %d", ErrSpillCorrupt, path, len(body), want)
 	}
-	// stride == 0 tolerates a word tail: readSpillChunkIDs reads packed
-	// files too, and the tail was already checksum-verified above.
+	for i := uint64(0); i < count*uint64(stride); i++ {
+		words = append(words, binary.LittleEndian.Uint64(body[i*8:]))
+	}
 	return ids, words, nil
-}
-
-// readSpillChunkIDs reads and verifies a chunk file, returning only its
-// id-list prefix (both the packed and legacy formats share it).
-func readSpillChunkIDs(path string) ([]int32, error) {
-	ids, _, err := readSpillChunk(path, 0, nil, nil)
-	return ids, err
 }

@@ -38,21 +38,13 @@ func TestSpillChunkRoundTrip(t *testing.T) {
 	if !slices.Equal(gotIDs, ids) || !slices.Equal(gotWords, words) {
 		t.Fatalf("round trip mismatch: ids %v want %v", gotIDs, ids)
 	}
-	onlyIDs, err := readSpillChunkIDs(path)
-	if err != nil {
-		t.Fatalf("readSpillChunkIDs: %v", err)
-	}
-	if !slices.Equal(onlyIDs, ids) {
-		t.Fatalf("id-only read mismatch: %v want %v", onlyIDs, ids)
-	}
 }
 
 // TestSpillChunkBitFlipExhaustive flips every bit of a real spill chunk
 // file, one at a time, and requires every flip to surface as a typed
-// ErrSpillCorrupt from both read paths — never a panic, never silently
-// different ids. It mirrors the segment bit-flip test in
-// internal/checkpoint: the id list steers witness replay, so a silently
-// wrong id is a corrupted proof.
+// ErrSpillCorrupt — never a panic, never silently different ids. It
+// mirrors the segment bit-flip test in internal/checkpoint: the id list
+// steers witness replay, so a silently wrong id is a corrupted proof.
 func TestSpillChunkBitFlipExhaustive(t *testing.T) {
 	const stride = 2
 	path, _, _ := writeTestChunk(t, stride)
@@ -70,9 +62,6 @@ func TestSpillChunkBitFlipExhaustive(t *testing.T) {
 			}
 			if _, _, err := readSpillChunk(mut, stride, nil, nil); !errors.Is(err, ErrSpillCorrupt) {
 				t.Fatalf("flip byte %d bit %d: readSpillChunk err = %v, want ErrSpillCorrupt", byteIdx, bit, err)
-			}
-			if _, err := readSpillChunkIDs(mut); !errors.Is(err, ErrSpillCorrupt) {
-				t.Fatalf("flip byte %d bit %d: readSpillChunkIDs err = %v, want ErrSpillCorrupt", byteIdx, bit, err)
 			}
 		}
 	}
