@@ -43,6 +43,15 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		ctx, cancel = context.WithTimeout(ctx, 10*time.Minute)
 		defer cancel()
 	}
+	// Every child is started under ctx: cancelling it on the way out kills
+	// whatever still runs, and the driver returns only once all of them
+	// have exited, so none outlives it writing into the work directory.
+	ctx, stopChildren := context.WithCancel(ctx)
+	var children sync.WaitGroup
+	defer func() {
+		stopChildren()
+		children.Wait()
+	}()
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -108,7 +117,11 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 			return nil, nil, fmt.Errorf("starting coordinator: %w", err)
 		}
 		wait := make(chan error, 1)
-		go func() { wait <- cmd.Wait() }()
+		children.Add(1)
+		go func() {
+			defer children.Done()
+			wait <- cmd.Wait()
+		}()
 		return cmd, wait, nil
 	}
 	coordCmd, coordWait, err := startCoord("coord#1")
@@ -134,7 +147,9 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("starting worker %s: %w", w.ID, err)
 		}
+		children.Add(1)
 		go func(w faults.ChaosWorker, cmd *exec.Cmd) {
+			defer children.Done()
 			err := cmd.Wait()
 			code := 0
 			if cmd.ProcessState != nil {
@@ -165,6 +180,12 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		for {
 			select {
 			case err := <-coordWait:
+				// A coordinator exits 0 only after the run is done and its
+				// linger has passed: the run finished, whatever the last
+				// status poll saw.
+				if err == nil {
+					return fmt.Errorf("run finished before the scripted coordinator kill at level %d fired (coordinator exited 0)", sched.Coord.Level)
+				}
 				return fmt.Errorf("coordinator exited before the scripted kill at level %d: %v", sched.Coord.Level, err)
 			default:
 			}

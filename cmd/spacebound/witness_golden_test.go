@@ -132,8 +132,6 @@ func inProcessDistWitness(t *testing.T, n, slices, depth int) []byte {
 			Procs: run.Procs,
 			Opts:  run.Opts,
 			Seed:  int64(i + 1),
-			// Poll briskly: the default idle wait is a fifth of the lease.
-			PollInterval: 5 * time.Millisecond,
 		}
 		wg.Add(1)
 		go func(i int) {

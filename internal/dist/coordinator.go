@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -23,6 +24,9 @@ const (
 type sliceInfo struct {
 	owner     string // worker id, "" while unowned
 	grantedAt time.Time
+	// freeSince is when the slice was last revoked; zero if never. It
+	// starts the grant grace (see grantLocked).
+	freeSince time.Time
 
 	// ckpt is the slice's newest checkpoint (segment bytes) and the level
 	// it was taken at. Reassignment hands these to the new owner.
@@ -52,7 +56,11 @@ type chunkKey struct{ level, from, to int }
 // the aggregated per-level witness stats. It runs no goroutines of its
 // own — leases are expired lazily on every worker request — and its whole
 // state sits behind one mutex, which the modest request rate (a handful of
-// polls and posts per worker per level) never contends.
+// polls and posts per worker per level) never contends. A poll from a
+// worker with nothing to do parks outside the mutex on the change channel
+// and answers as soon as a barrier mark, lease or grant moves, so the
+// barrier advances at the speed of the last post, not of a polling
+// interval.
 type Coordinator struct {
 	spec   Spec
 	rootFP explore.Fingerprint
@@ -69,6 +77,13 @@ type Coordinator struct {
 	done    bool
 	witness []byte
 	doneCh  chan struct{}
+
+	// changed is closed and replaced by every mutation that can change a
+	// poll's answer (notifyLocked); parked polls wait on it. firstPoll is
+	// when the first worker polled this incarnation: the grant grace of a
+	// never-owned slice runs from it.
+	changed   chan struct{}
+	firstPoll time.Time
 
 	// levelStart anchors the exchange-latency histogram: each chunk post
 	// is observed as time-since-level-start, so the distribution shows how
@@ -122,6 +137,7 @@ func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*C
 		levels:  []LevelStat{{Fresh: 1, Digest: rootFP}},
 		chunks:  make(map[chunkKey][]byte),
 		doneCh:  make(chan struct{}),
+		changed: make(chan struct{}),
 
 		levelStart: time.Now(),
 	}
@@ -161,6 +177,18 @@ func (c *Coordinator) lease() time.Duration {
 	return time.Duration(c.spec.LeaseMS) * time.Millisecond
 }
 
+// beat is a fifth of the lease: the longest a poll parks (at most
+// maxPark), so a parked worker's heartbeat is re-stamped well inside its
+// lease, and the grant grace an unowned slice waits out before a worker
+// already holding one may take it.
+func (c *Coordinator) beat() time.Duration { return c.lease() / 5 }
+
+// notifyLocked wakes every parked poll to re-evaluate its answer.
+func (c *Coordinator) notifyLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
 // phaseLocked derives the current phase from the barrier marks, so a
 // reassignment that clears a slice's expand mark regresses the phase
 // automatically and the redo is awaited like the original work.
@@ -188,7 +216,7 @@ func (c *Coordinator) heartbeatLocked(w string, now time.Time) {
 		c.scope.Event("dist_lease_expired")
 		for s := range c.slices {
 			if c.slices[s].owner == id {
-				c.revokeLocked(s)
+				c.revokeLocked(s, now)
 			}
 		}
 	}
@@ -198,38 +226,70 @@ func (c *Coordinator) heartbeatLocked(w string, now time.Time) {
 // revokeLocked returns a slice to the pool and clears its current-level
 // barrier marks so the next owner redoes the level's work. Chunks the dead
 // owner posted are kept: reposts overwrite them with identical bytes.
-func (c *Coordinator) revokeLocked(s int) {
+func (c *Coordinator) revokeLocked(s int, now time.Time) {
 	sl := &c.slices[s]
 	sl.owner = ""
+	sl.freeSince = now
 	sl.expanded = false
 	sl.ingested = false
 	sl.steps = 0
 	sl.fresh = 0
 	sl.digest = explore.Fingerprint{}
+	c.notifyLocked()
 }
 
 // grantLocked hands at most one unowned slice to w. One per poll keeps the
-// initial distribution spread across however many workers attach, while a
-// lone worker still accumulates every slice over successive polls. A
-// regrant of a slice that ever had an owner counts as a reassignment.
+// initial distribution spread across however many workers attach. A worker
+// that holds no slice gets one at once; a worker that already holds one
+// may take another only once that slice has been unowned for a beat —
+// counted from its revocation, or from this incarnation's first poll for
+// a slice nobody held since — so a fast first worker cannot take a slice
+// a peer's first poll is about to claim, while a lone worker still
+// accumulates every slice. A regrant of a slice that ever had an owner
+// counts as a reassignment.
 func (c *Coordinator) grantLocked(w string, now time.Time) {
+	holds := false
+	for s := range c.slices {
+		if c.slices[s].owner == w {
+			holds = true
+			break
+		}
+	}
 	for s := range c.slices {
 		sl := &c.slices[s]
 		if sl.owner != "" {
 			continue
 		}
-		if sl.everOwned {
-			sl.reassigns++
-			c.reassignTotal++
-			c.scope.Counter("dist_reassigns").Add(1)
+		if holds && now.Sub(later(sl.freeSince, c.firstPoll)) < c.beat() {
+			continue
 		}
-		sl.owner = w
-		sl.grantedAt = now
-		sl.everOwned = true
-		sl.epoch++
-		c.scope.Event("dist_grant")
+		c.assignLocked(s, w, now)
 		return
 	}
+}
+
+// assignLocked makes w the owner of slice s under a fresh epoch.
+func (c *Coordinator) assignLocked(s int, w string, now time.Time) {
+	sl := &c.slices[s]
+	if sl.everOwned {
+		sl.reassigns++
+		c.reassignTotal++
+		c.scope.Counter("dist_reassigns").Add(1)
+	}
+	sl.owner = w
+	sl.grantedAt = now
+	sl.everOwned = true
+	sl.epoch++
+	c.scope.Event("dist_grant")
+	c.notifyLocked()
+}
+
+// later returns the later of two instants.
+func later(a, b time.Time) time.Time {
+	if a.After(b) {
+		return a
+	}
+	return b
 }
 
 // pollSlice is one slice's entry in a poll response. Epoch fences grants:
@@ -257,11 +317,49 @@ type pollResponse struct {
 	Slices []pollSlice `json:"slices"`
 }
 
-// poll is a worker's heartbeat + work request.
-func (c *Coordinator) poll(w string) pollResponse {
+// maxPark caps a poll's park well inside the worker client's 30 s request
+// timeout, whatever the lease.
+const maxPark = 10 * time.Second
+
+// poll is a worker's heartbeat + work request. It answers at once when w
+// has work — the run is done, or a slice w leases still lacks its
+// current-phase barrier mark. Otherwise it parks, holding no lock, until a
+// mutation closes the change channel (then it re-evaluates), a beat
+// passes, or ctx ends. Every wake re-stamps w's heartbeat, so a parked
+// worker never loses its lease.
+func (c *Coordinator) poll(ctx context.Context, w string) pollResponse {
+	timer := time.NewTimer(min(c.beat(), maxPark))
+	defer timer.Stop()
+	for {
+		resp, changed := c.pollOnce(w)
+		if resp.hasWork() {
+			return resp
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			resp, _ = c.pollOnce(w)
+			return resp
+		case <-ctx.Done():
+			return resp
+		}
+	}
+}
+
+// pollOnce heartbeats w, grants it a slice if one is due, and returns its
+// answer with the change channel that answer is current for.
+func (c *Coordinator) pollOnce(w string) (pollResponse, <-chan struct{}) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.pollLocked(w, now), c.changed
+}
+
+// pollLocked is pollOnce at a given instant.
+func (c *Coordinator) pollLocked(w string, now time.Time) pollResponse {
+	if c.firstPoll.IsZero() {
+		c.firstPoll = now
+	}
 	c.heartbeatLocked(w, now)
 	if !c.done {
 		c.grantLocked(w, now)
@@ -280,6 +378,25 @@ func (c *Coordinator) poll(w string) pollResponse {
 		}
 	}
 	return resp
+}
+
+// due reports whether the slice still owes the phase its barrier mark.
+func (ps pollSlice) due(phase string) bool {
+	return (phase == phaseExpand && !ps.Expanded) || (phase == phaseIngest && !ps.Ingested)
+}
+
+// hasWork reports whether the answer gives its worker something to do:
+// the run is over, or one of its slices is due in the current phase.
+func (r pollResponse) hasWork() bool {
+	if r.Done {
+		return true
+	}
+	for _, ps := range r.Slices {
+		if ps.due(r.Phase) {
+			return true
+		}
+	}
+	return false
 }
 
 // heartbeat renews the worker's lease without granting work; workers call
@@ -519,6 +636,7 @@ func (c *Coordinator) applyExpandedLocked(s int, steps int64) {
 	sl := &c.slices[s]
 	sl.expanded = true
 	sl.steps = steps
+	c.notifyLocked()
 }
 
 // ingested records a slice's ingest-done for the level: how many fresh
@@ -576,6 +694,7 @@ func (c *Coordinator) applyIngestedLocked(s int, fresh int64, digest explore.Fin
 	sl.fresh = fresh
 	sl.digest = digest
 	c.maybeAdvanceLocked()
+	c.notifyLocked()
 }
 
 // maybeAdvanceLocked closes the level once every slice has expanded and

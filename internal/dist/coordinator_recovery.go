@@ -153,7 +153,9 @@ func (c *Coordinator) Recover() error {
 
 	// Lease amnesia: every slice unowned, every worker forgotten, ingest
 	// marks redone by the next owners (see the package comment above).
+	// The grant grace restarts with this incarnation's first poll.
 	c.workers = make(map[string]time.Time)
+	c.firstPoll = time.Time{}
 	for s := range c.slices {
 		sl := &c.slices[s]
 		sl.owner = ""
@@ -193,6 +195,7 @@ func (c *Coordinator) Recover() error {
 
 	c.recovering = false
 	c.levelStart = time.Now()
+	c.notifyLocked()
 	c.scope.Gauge("dist_recovering").Set(0)
 	c.scope.Gauge("dist_level").Set(int64(c.level))
 	c.scope.Gauge("dist_gen").Set(int64(c.gen))

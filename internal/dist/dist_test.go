@@ -150,7 +150,7 @@ func TestStallRecovery(t *testing.T) {
 	// Lease sleepy a slice before either worker starts: otherwise steady
 	// can win every grant before sleepy's first poll lands, the stall
 	// never hits a slice owner, and the test proves nothing.
-	tr.coord.poll("sleepy")
+	tr.coord.poll(context.Background(), "sleepy")
 	got := tr.runWorkers(t, tr.worker("steady", 11, nil), tr.worker("sleepy", 12, stall))
 	if want := tr.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("witness after stall recovery differs:\n--- distributed\n%s--- sequential\n%s", got, want)
@@ -192,8 +192,8 @@ func TestCorruptChunkRetry(t *testing.T) {
 func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
 	tr := newTestRun(t, 3, 2, 3, 60)
 	c := tr.coord
-	c.poll("live") // grants slice 0
-	c.poll("dead") // grants slice 1
+	c.poll(context.Background(), "live") // grants slice 0
+	c.poll(context.Background(), "dead") // grants slice 1
 	if err := c.expanded("live", 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestStaleIngestDoneAfterRegrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.coord.mu.Lock()
-	tr.coord.revokeLocked(0)
+	tr.coord.revokeLocked(0, time.Now())
 	tr.coord.mu.Unlock()
 	// Regrant to the same worker: same owner, new epoch, cleared marks.
 	if _, err := cl.poll(ctx); err != nil {
@@ -247,7 +247,7 @@ func TestStaleIngestDoneAfterRegrant(t *testing.T) {
 func TestCheckpointLevelMonotonic(t *testing.T) {
 	tr := newTestRun(t, 3, 1, 3, 5000)
 	c := tr.coord
-	c.poll("w")
+	c.poll(context.Background(), "w")
 	enc := func(level int) []byte {
 		ck := SliceCheckpoint{Slice: 0, Level: level, FPVersion: explore.FingerprintVersion}
 		body, err := ck.Encode()

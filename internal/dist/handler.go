@@ -133,7 +133,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 		distError(w, err)
 		return
 	}
-	distWriteJSON(w, http.StatusOK, c.poll(worker))
+	distWriteJSON(w, http.StatusOK, c.poll(r.Context(), worker))
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

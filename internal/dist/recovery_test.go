@@ -201,8 +201,14 @@ func TestRecoveryWindowGatesAndStashes(t *testing.T) {
 	tr1 := newTestRun(t, 3, 2, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
 	c1 := tr1.coord
-	c1.poll("w")
-	c1.poll("w") // w owns both slices at level 0
+	// w owns both slices at level 0. A second poll would not grant the
+	// second slice inside the grant grace, so lease both directly.
+	c1.mu.Lock()
+	for s := range c1.slices {
+		c1.assignLocked(s, "w", time.Now())
+	}
+	c1.heartbeatLocked("w", time.Now())
+	c1.mu.Unlock()
 	entries := []Entry{{FP: explore.Fingerprint{7, 8}, Path: []uint32{1}}}
 	journaled, err := EncodeFrontierChunk(0, 0, 1, entries)
 	if err != nil {
@@ -300,7 +306,7 @@ func TestRecoverEpochsFenceZombies(t *testing.T) {
 	dir := t.TempDir()
 	tr1 := newTestRun(t, 3, 1, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
-	pre := tr1.coord.poll("w")
+	pre := tr1.coord.poll(context.Background(), "w")
 	if len(pre.Slices) != 1 {
 		t.Fatalf("no grant: %+v", pre)
 	}
@@ -308,7 +314,7 @@ func TestRecoverEpochsFenceZombies(t *testing.T) {
 
 	tr2 := newTestRun(t, 3, 1, 4, 5000)
 	tr2.attachJournal(t, dir, nil)
-	post := tr2.coord.poll("w")
+	post := tr2.coord.poll(context.Background(), "w")
 	if len(post.Slices) != 1 {
 		t.Fatalf("no grant after recovery: %+v", post)
 	}

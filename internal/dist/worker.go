@@ -15,9 +15,11 @@ import (
 
 // Worker is one shard-worker process (or goroutine, in tests). It polls
 // the coordinator for slice leases and drives every slice it holds through
-// the per-level expand/ingest protocol. All state is private to the single
-// Run goroutine; crash tolerance comes from the coordinator's checkpoints
-// and retained chunks, not from anything the worker persists locally.
+// the per-level expand/ingest protocol. It never sleeps between polls: a
+// poll with nothing for it to do parks at the coordinator until the
+// barrier moves. All state is private to the single Run goroutine; crash
+// tolerance comes from the coordinator's checkpoints and retained chunks,
+// not from anything the worker persists locally.
 type Worker struct {
 	ID    string
 	URL   string // coordinator base URL, e.g. http://127.0.0.1:9131
@@ -29,9 +31,6 @@ type Worker struct {
 	Fault *faults.ShardFault
 	Scope *obs.Scope
 	Seed  int64
-	// PollInterval overrides the idle wait between polls (default: a
-	// fifth of the lease).
-	PollInterval time.Duration
 }
 
 // sliceState is the worker's in-memory state for one leased slice.
@@ -73,13 +72,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	// carry fingerprints and move paths, never packed records.
 	x := explore.NewExpander(model.NewPackedCodec(w.Root), w.Opts)
 	rootFP := w.Opts.Fingerprint(w.Root)
-	idle := w.PollInterval
-	if idle <= 0 {
-		idle = time.Duration(spec.LeaseMS) * time.Millisecond / 5
-		if idle < 5*time.Millisecond {
-			idle = 5 * time.Millisecond
-		}
-	}
 	states := make(map[int]*sliceState)
 	var faultFired bool
 	for {
@@ -139,7 +131,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, resp.Level)
 			}
 		}
-		progress := false
 		for _, s := range ids {
 			st, ok := states[s]
 			if !ok {
@@ -147,25 +138,18 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			ps := owned[s]
 			var err error
-			switch {
-			case resp.Phase == phaseExpand && !ps.Expanded:
-				err = w.expand(ctx, cl, spec, x, s, st, resp.Level, &faultFired)
-			case resp.Phase == phaseIngest && !ps.Ingested:
-				err = w.ingest(ctx, cl, s, st, resp.Level)
-			default:
+			if !ps.due(resp.Phase) {
 				continue
+			}
+			if resp.Phase == phaseExpand {
+				err = w.expand(ctx, cl, spec, x, s, st, resp.Level, &faultFired)
+			} else {
+				err = w.ingest(ctx, cl, s, st, resp.Level)
 			}
 			if err != nil {
 				if err := drop(s, err); err != nil {
 					return err
 				}
-				continue
-			}
-			progress = true
-		}
-		if !progress {
-			if err := sleep(ctx, idle); err != nil {
-				return err
 			}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ledger"
+	"repro/internal/model"
 )
 
 // JobSpec is the submitted description of one proof job: which protocol to
@@ -43,17 +44,39 @@ func (sp JobSpec) timeout(def time.Duration) time.Duration {
 
 // validate rejects specs the scheduler would only fail on later.
 func (sp *JobSpec) validate() error {
-	if _, _, err := core.Machine(sp.Protocol); err != nil {
+	m, _, err := core.Machine(sp.Protocol)
+	if err != nil {
 		return err
 	}
 	if sp.N < 2 {
 		return fmt.Errorf("server: n must be >= 2, got %d", sp.N)
+	}
+	if err := checkInit(m, sp.N); err != nil {
+		return err
 	}
 	if sp.MaxConfigs < 0 || sp.TimeoutMS < 0 || sp.Workers < 0 {
 		return fmt.Errorf("server: negative budget in spec")
 	}
 	if sp.Workers == 0 {
 		sp.Workers = 1
+	}
+	return nil
+}
+
+// checkInit rejects a process count the protocol cannot start with. Some
+// machines are built for a fixed n (CoinFlood for exactly two) and panic
+// in Init otherwise; the first and last process, on both binary inputs,
+// cover every size check the protocols make.
+func checkInit(m model.Machine, n int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("server: %s cannot run with n=%d: %v", m.Name(), n, r)
+		}
+	}()
+	for _, pid := range []int{0, n - 1} {
+		for _, in := range []model.Value{"0", "1"} {
+			m.Init(n, pid, in)
+		}
 	}
 	return nil
 }

@@ -536,7 +536,7 @@ func (s *Server) attempt(j *job) {
 		defer cancel()
 	}
 	attemptStart := time.Now()
-	err := s.runJob(ctx, j)
+	err := s.runAttempt(ctx, j)
 	s.scope.Histogram("job_attempt_us", AttemptLatencyBoundsMicros).Observe(time.Since(attemptStart).Microseconds())
 
 	s.mu.Lock()
@@ -631,6 +631,19 @@ func (s *Server) backoffLocked(attempt int) time.Duration {
 		d = s.opts.RetryMax
 	}
 	return d + time.Duration(s.rng.Int63n(int64(d/4)+1))
+}
+
+// runAttempt runs one attempt of j and turns a panic inside it into a
+// terminal construction failure: the same deterministic construction would
+// panic again, and left to unwind, the panic would take the server down
+// with every other job.
+func (s *Server) runAttempt(ctx context.Context, j *job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = terminalf(ReasonConstruction, fmt.Errorf("server: attempt panicked: %v", r))
+		}
+	}()
+	return s.runJob(ctx, j)
 }
 
 // runJob executes one attempt: resolve the machine, resume from the job's

@@ -550,3 +550,74 @@ func TestTwoJobTraceCorrelation(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRejectsUnstartableSpec: a spec whose protocol cannot start
+// with the requested n (CoinFlood is built for exactly two processes) is
+// refused at submit with a 400 instead of panicking a worker later.
+func TestSubmitRejectsUnstartableSpec(t *testing.T) {
+	s, err := New(fastOptions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"protocol":"coinflood","n":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("coinflood n=3 submit: %s %s, want 400", resp.Status, body)
+	}
+	if !strings.Contains(string(body), "n=3") {
+		t.Fatalf("rejection does not name the bad n: %s", body)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected spec left %d jobs behind", len(jobs))
+	}
+	if err := (&JobSpec{Protocol: core.ProtocolCoinFlood, N: 2}).validate(); err != nil {
+		t.Fatalf("coinflood n=2 rejected: %v", err)
+	}
+}
+
+// TestAttemptPanicIsTerminal: a job whose construction panics — here a
+// coinflood n=3 spec persisted before submit checked it, picked up by the
+// recovery sweep — fails terminally with the construction reason after
+// one attempt, and the server keeps serving other jobs.
+func TestAttemptPanicIsTerminal(t *testing.T) {
+	opts := fastOptions(t)
+	dir := filepath.Join(opts.DataDir, "jobs", "j000000")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(JobSpec{Protocol: core.ProtocolCoinFlood, N: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	waitFor(t, 30*time.Second, "panicking job failed", func() bool {
+		got, _ := s.Job("j000000")
+		return got.State == StateFailed
+	})
+	got, _ := s.Job("j000000")
+	if got.Reason != ReasonConstruction || got.Attempts != 1 || !strings.Contains(got.LastError, "panicked") {
+		t.Fatalf("reason=%q attempts=%d err=%q, want %q after 1 attempt", got.Reason, got.Attempts, got.LastError, ReasonConstruction)
+	}
+	st, err := s.Submit(JobSpec{Protocol: core.ProtocolDiskRace, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "next job done", func() bool {
+		got, _ := s.Job(st.ID)
+		return got.State == StateDone
+	})
+}
