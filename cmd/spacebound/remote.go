@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/ledger"
+	"repro/internal/retry"
 	"repro/internal/server"
 )
 
@@ -37,7 +38,7 @@ func runRemote(ctx context.Context, base string, spec server.JobSpec, witnessOut
 		if st.State == server.StateFailed {
 			return fmt.Errorf("server job %s failed (%s): %s", st.ID, st.Reason, st.LastError)
 		}
-		if err := sleepCtx(ctx, 250*time.Millisecond); err != nil {
+		if err := retry.Sleep(ctx, 250*time.Millisecond); err != nil {
 			return fmt.Errorf("%w: job %s still %s after %d attempt(s)", errInterrupted, st.ID, st.State, st.Attempts)
 		}
 		if err := getJSON(ctx, base+"/jobs/"+st.ID, &st); err != nil {
@@ -110,7 +111,7 @@ func submitRemote(ctx context.Context, base string, spec server.JobSpec) (server
 				}
 			}
 			fmt.Fprintf(os.Stderr, "spacebound: server saturated, retrying in %s\n", wait)
-			if err := sleepCtx(ctx, wait); err != nil {
+			if err := retry.Sleep(ctx, wait); err != nil {
 				return server.Status{}, fmt.Errorf("%w: while backing off a saturated server", errInterrupted)
 			}
 		default:
@@ -144,30 +145,14 @@ const (
 // getJitter is the seeded jitter source for GET retries.
 var getJitter = rand.New(rand.NewSource(int64(os.Getpid())*1e9 + time.Now().UnixNano()%1e9))
 
-// getRetryDelay computes the wait before retry attempt (1-based): doubling
-// from getRetryBase, capped at getRetryMax, plus up to 25% jitter.
-func getRetryDelay(attempt int) time.Duration {
-	d := getRetryBase
-	for i := 1; i < attempt && d < getRetryMax; i++ {
-		d *= 2
-	}
-	if d > getRetryMax {
-		d = getRetryMax
-	}
-	return d + time.Duration(getJitter.Int63n(int64(d/4)+1))
-}
-
 // getBody fetches one resource, retrying transient failures.
 func getBody(ctx context.Context, url string) ([]byte, error) {
 	var lastErr error
 	for attempt := 1; attempt <= getRetryAttempts; attempt++ {
 		if attempt > 1 {
-			delay := getRetryDelay(attempt - 1)
 			var ra retryAfterError
-			if errors.As(lastErr, &ra) && ra.wait > delay {
-				delay = ra.wait
-			}
-			if err := sleepCtx(ctx, delay); err != nil {
+			_ = errors.As(lastErr, &ra) // ra.wait stays 0 without a Retry-After
+			if err := retry.Sleep(ctx, retry.Delay(attempt-1, getRetryBase, getRetryMax, getJitter, ra.wait)); err != nil {
 				return nil, fmt.Errorf("%w: retrying %s: %v", errInterrupted, url, lastErr)
 			}
 		}
@@ -214,15 +199,3 @@ type retryAfterError struct {
 
 func (e retryAfterError) Error() string { return e.err.Error() }
 func (e retryAfterError) Unwrap() error { return e.err }
-
-// sleepCtx sleeps d or returns the context's error if it fires first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}

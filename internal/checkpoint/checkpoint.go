@@ -17,10 +17,15 @@
 //     that decodes cleanly, so even a corrupt latest file (torn disk, bad
 //     sector) falls back to the one before it instead of failing the run.
 //
-// The package is deliberately dependency-light (standard library plus
-// internal/obs for counters): internal/explore and internal/valency import
-// it, not the other way round, so the snapshot schema speaks in plain
-// integers and strings and the owning packages convert to their own types.
+// The package is deliberately dependency-light (standard library,
+// internal/obs for counters and internal/faults for the File its writes go
+// through): internal/explore and internal/valency import it, not the other
+// way round, so the snapshot schema speaks in plain integers and strings
+// and the owning packages convert to their own types.
+//
+// log.go holds every durable-file policy the repository uses — atomic
+// publish, the append-only Log, keep-N pruning — for the snapshot store,
+// the dist coordinator's journal and the witness ledger alike.
 package checkpoint
 
 import (

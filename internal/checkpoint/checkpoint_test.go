@@ -184,7 +184,7 @@ func TestStoreSaveLatestPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names := store.files()
+	names := snapFiles.List(store.Dir())
 	if len(names) != keepSnapshots {
 		t.Fatalf("store retains %d files %v, want %d", len(names), names, keepSnapshots)
 	}
@@ -208,7 +208,7 @@ func TestStoreLatestFallsBack(t *testing.T) {
 	}
 	store.Save(sampleSnapshot(1))
 	store.Save(sampleSnapshot(2))
-	newest := filepath.Join(dir, store.files()[0])
+	newest := snapFiles.Path(dir, 2)
 	data, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestStoreLatestFallsBack(t *testing.T) {
 		t.Fatalf("fell back to seq %d, want 1", snap.Meta.Seq)
 	}
 	// Everything corrupt: ErrNoCheckpoint naming the skipped files.
-	if err := os.WriteFile(filepath.Join(dir, store.files()[1]), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(snapFiles.Path(dir, 1), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = store.Latest()

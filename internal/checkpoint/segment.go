@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // segmentMagic opens every segment file: a human-greppable tag plus a
@@ -45,7 +43,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 // NewAppendWriter continues an existing segment stream on w without
 // re-emitting the magic header. The caller is expected to have validated
 // the stream's header and intact prefix via ScanSegment and positioned w
-// at the end of that prefix — the append-only ledger's reopen path.
+// at the end of that prefix — OpenLog's reopen path.
 func NewAppendWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
@@ -75,6 +73,12 @@ func (sw *Writer) Append(payload []byte) error {
 
 // Bytes returns the total bytes written so far, header included.
 func (sw *Writer) Bytes() int64 { return sw.bytes }
+
+// recordLen is the on-disk size of the record Append writes for payload.
+func recordLen(payload []byte) int64 {
+	var lenBuf [binary.MaxVarintLen64]byte
+	return int64(binary.PutUvarint(lenBuf[:], uint64(len(payload))) + len(payload) + sha256.Size)
+}
 
 // segReader buffers a segment stream while tracking the byte offset of
 // everything consumed so far, which is what lets ScanSegment report where
@@ -175,59 +179,4 @@ func ReadSegmentFile(path string) ([][]byte, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return recs, nil
-}
-
-// WriteFileAtomic publishes a file crash-safely: the write callback
-// produces the content into a temp file in the target directory, the temp
-// file is fsynced and closed, atomically renamed over path, and the
-// directory is fsynced so the rename itself is durable. A crash at any
-// point leaves either the previous file or the complete new one under
-// path — never a torn intermediate. Returns the number of bytes written.
-func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	n, err := write(tmp)
-	if err != nil {
-		cleanup()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return 0, fmt.Errorf("checkpoint: fsync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("checkpoint: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-// syncDir fsyncs a directory so a just-completed rename survives power
-// loss. Filesystems that refuse to sync directories (some network mounts)
-// degrade to rename-only atomicity, which is still torn-write safe.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
-		return fmt.Errorf("checkpoint: fsync dir %s: %w", dir, err)
-	}
-	return nil
 }

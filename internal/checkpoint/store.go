@@ -3,10 +3,8 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -18,6 +16,9 @@ var ErrNoCheckpoint = errors.New("checkpoint: no loadable snapshot in store")
 // newest can be corrupt (torn disk at rename, bad sector) and the run
 // still resumes from the one before it.
 const keepSnapshots = 2
+
+// snapFiles names the store's snapshot files, snap-<seq>.ckpt.
+var snapFiles = SeqFiles{Prefix: "snap-", Suffix: ".ckpt", Width: 12}
 
 // Store manages a directory of snapshot segment files, named
 // snap-<seq>.ckpt. Save publishes each snapshot atomically and prunes old
@@ -40,59 +41,17 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) path(seq uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("snap-%012d.ckpt", seq))
-}
-
 // Save publishes snap atomically under its Meta.Seq and prunes all but the
 // newest keepSnapshots files. Returns the bytes written.
 func (s *Store) Save(snap *Snapshot) (int64, error) {
-	records := snap.encodeRecords()
-	n, err := WriteFileAtomic(s.path(snap.Meta.Seq), func(w io.Writer) (int64, error) {
-		sw, err := NewWriter(w)
-		if err != nil {
-			return 0, err
-		}
-		for _, rec := range records {
-			if err := sw.Append(rec); err != nil {
-				return sw.Bytes(), err
-			}
-		}
-		return sw.Bytes(), nil
-	})
+	n, err := PublishSegment(snapFiles.Path(s.dir, snap.Meta.Seq), nil, snap.encodeRecords())
 	if err != nil {
 		return n, err
 	}
-	s.prune()
+	if seqs := snapFiles.List(s.dir); len(seqs) > keepSnapshots {
+		snapFiles.Prune(s.dir, seqs[len(seqs)-keepSnapshots])
+	}
 	return n, nil
-}
-
-// files returns the snapshot filenames in the store, newest (highest seq)
-// first. Temp files and foreign names are ignored.
-func (s *Store) files() []string {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".ckpt") {
-			names = append(names, name)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	return names
-}
-
-func (s *Store) prune() {
-	names := s.files()
-	if len(names) <= keepSnapshots {
-		return
-	}
-	for _, name := range names[keepSnapshots:] {
-		os.Remove(filepath.Join(s.dir, name))
-	}
 }
 
 // Latest loads the newest snapshot that passes every integrity check,
@@ -108,8 +67,10 @@ func (s *Store) Latest() (*Snapshot, error) {
 
 func (s *Store) latest() (*Snapshot, []string, error) {
 	var skipped []string
-	for _, name := range s.files() {
-		path := filepath.Join(s.dir, name)
+	seqs := snapFiles.List(s.dir)
+	for i := len(seqs) - 1; i >= 0; i-- {
+		path := snapFiles.Path(s.dir, seqs[i])
+		name := filepath.Base(path)
 		records, err := ReadSegmentFile(path)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {

@@ -12,6 +12,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"repro/internal/retry"
 )
 
 // Backoff tuning for the worker-side client, mirroring the job
@@ -63,30 +65,10 @@ func newClient(base, worker string, seed int64) *client {
 	}
 }
 
-// retryDelay computes the delay before retry attempt (1-based): doubling
-// from clientRetryBase, capped, plus up to 25% jitter, and never less than
-// the Retry-After the failed attempt's response asked for (0 = none).
+// retryDelay computes the delay before retry attempt (1-based), floored
+// at the Retry-After the failed attempt's response asked for (0 = none).
 func (cl *client) retryDelay(attempt int, retryAfter time.Duration) time.Duration {
-	d := clientRetryBase
-	for i := 1; i < attempt && d < clientRetryMax; i++ {
-		d *= 2
-	}
-	if d > clientRetryMax {
-		d = clientRetryMax
-	}
-	return max(d+time.Duration(cl.rng.Int63n(int64(d/4)+1)), retryAfter)
-}
-
-// sleep waits for d or until ctx is cancelled.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return retry.Delay(attempt, clientRetryBase, clientRetryMax, cl.rng, retryAfter)
 }
 
 // do performs one request with retries. body may be nil; the response body
@@ -100,7 +82,7 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 	var retryAfter time.Duration
 	for attempt := 1; attempt <= clientAttempts; attempt++ {
 		if attempt > 1 {
-			if err := sleep(ctx, cl.retryDelay(attempt-1, retryAfter)); err != nil {
+			if err := retry.Sleep(ctx, cl.retryDelay(attempt-1, retryAfter)); err != nil {
 				return nil, nil, err
 			}
 			retryAfter = 0
@@ -228,7 +210,7 @@ func (cl *client) getChunk(ctx context.Context, level, from, to int, retried fun
 			if retried != nil {
 				retried()
 			}
-			if err := sleep(ctx, cl.retryDelay(attempt-1, 0)); err != nil {
+			if err := retry.Sleep(ctx, cl.retryDelay(attempt-1, 0)); err != nil {
 				return nil, err
 			}
 		}

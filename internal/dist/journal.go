@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/explore"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -36,9 +35,9 @@ import (
 //
 // Appends are not fsynced per record: SIGKILL (the chaos harness's crash)
 // loses nothing the OS already buffered, so crash-recovery is exact;
-// a power loss can tear the tail, which ScanSegment detects and truncates
-// to the last intact record — an older but consistent state the workers
-// redo forward from deterministically.
+// a power loss can tear the tail, which checkpoint.OpenLog detects and
+// truncates to the last intact record — an older but consistent state the
+// workers redo forward from deterministically.
 //
 // Disk faults degrade, never abort: a failed append or snapshot marks the
 // journal degraded (memory-only, loud metrics) and the barrier keeps
@@ -334,7 +333,7 @@ type journalState struct {
 // FileOpener is the journal's file-creation hook: the production opener is
 // faults.OpenOS, the disk-fault tests and -dist-journal-fault substitute
 // one that wraps every file in a faults.FaultyFile.
-type FileOpener func(path string, flag int) (faults.File, error)
+type FileOpener = checkpoint.Opener
 
 // JournalOptions configures OpenJournal.
 type JournalOptions struct {
@@ -354,80 +353,68 @@ type Journal struct {
 	open  FileOpener
 	scope *obs.Scope
 
-	seq      uint64      // snapshot seq the active WAL extends
-	wal      faults.File // nil while degraded or before attach
-	walW     *checkpoint.Writer
+	seq      uint64          // snapshot seq the active WAL extends
+	wal      *checkpoint.Log // nil while degraded or before attach
 	degraded bool
 
 	recovered *journalState // non-nil until Recover consumes it
 }
 
-func snapPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("state-%08d.ckpt", seq))
-}
-
-func walPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", seq))
-}
+// The journal's two file families: state-<seq>.ckpt and wal-<seq>.seg.
+var (
+	snapFiles = checkpoint.SeqFiles{Prefix: "state-", Suffix: ".ckpt", Width: 8}
+	walFiles  = checkpoint.SeqFiles{Prefix: "wal-", Suffix: ".seg", Width: 8}
+	snapPath  = snapFiles.Path
+	walPath   = walFiles.Path
+)
 
 // OpenJournal opens (or creates) the journal directory and, when prior
 // state exists, loads the newest intact snapshot chain: snapshot N plus
 // wal-N, falling back to snapshot N-1 plus both WALs when N is corrupt.
-// The torn tail of the newest WAL — a crash mid-append — is truncated to
-// the last intact, decodable record. A directory with snapshot files none
-// of which load is an error: silently starting a finished run over would
-// be worse than failing loudly.
+// The torn tail of a WAL — a crash mid-append — is truncated to the last
+// intact, decodable record, and wal-N stays open to extend after recovery.
+// A directory with snapshot files none of which load is an error: silently
+// starting a finished run over would be worse than failing loudly.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dist: journal dir: %w", err)
 	}
-	opener := opts.Opener
-	if opener == nil {
-		opener = faults.OpenOS
-	}
-	j := &Journal{dir: dir, open: opener, scope: opts.Scope}
-	seqs, err := j.snapshotSeqs()
-	if err != nil {
-		return nil, err
-	}
+	j := &Journal{dir: dir, open: opts.Opener, scope: opts.Scope}
+	seqs := snapFiles.List(dir)
 	if len(seqs) == 0 {
 		return j, nil // fresh directory; AttachJournal seeds snapshot 0
 	}
 	newest := seqs[len(seqs)-1]
 	st, err := j.loadSnapshot(newest)
-	if err == nil {
-		st.walRecs, err = j.scanWAL(newest)
-		if err != nil {
-			return nil, err
-		}
-	} else if errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, errJournalCorrupt) {
+	var prevRecs []journalRec
+	if errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, errJournalCorrupt) {
 		// Corrupt-skip fallback: the previous snapshot plus both WALs is
 		// the same state — wal-(N-1)'s replay ends exactly where snapshot N
 		// begins.
 		j.scope.Counter("dist_journal_snapshot_corrupt").Add(1)
-		j.scope.Event("dist_journal_snapshot_corrupt")
+		j.scope.Event("dist_journal_snapshot_corrupt", slog.String("cause", err.Error()))
 		if len(seqs) < 2 {
 			return nil, fmt.Errorf("dist: journal snapshot %d corrupt with no fallback: %w", newest, err)
 		}
 		prev := seqs[len(seqs)-2]
-		st, err = j.loadSnapshot(prev)
-		if err != nil {
+		if st, err = j.loadSnapshot(prev); err != nil {
 			return nil, fmt.Errorf("dist: journal fallback snapshot %d: %w", prev, err)
 		}
-		prevRecs, err := j.scanWAL(prev)
+		wal, recs, err := j.openWAL(prev)
 		if err != nil {
 			return nil, err
 		}
-		newRecs, err := j.scanWAL(newest)
-		if err != nil {
-			return nil, err
-		}
-		st.walRecs = append(prevRecs, newRecs...)
-	} else {
+		wal.Close()
+		prevRecs = recs
+	} else if err != nil {
 		return nil, fmt.Errorf("dist: journal snapshot %d: %w", newest, err)
 	}
-	j.seq = newest
-	j.recovered = st
+	wal, recs, err := j.openWAL(newest)
+	if err != nil {
+		return nil, err
+	}
+	st.walRecs = append(prevRecs, recs...)
+	j.seq, j.wal, j.recovered = newest, wal, st
 	return j, nil
 }
 
@@ -438,10 +425,12 @@ func (j *Journal) attachFresh(records [][]byte) error {
 	if j.recovered != nil {
 		return fmt.Errorf("dist: journal holds recovered state, not fresh")
 	}
-	if err := j.writeAtomicSegment(snapPath(j.dir, 0), records); err != nil {
+	if _, err := checkpoint.PublishSegment(snapPath(j.dir, 0), j.open, records); err != nil {
 		return err
 	}
-	return j.openWAL()
+	wal, _, err := j.openWAL(0)
+	j.wal = wal
+	return err
 }
 
 // Recovered reports whether the journal loaded prior state at open.
@@ -449,23 +438,6 @@ func (j *Journal) Recovered() bool { return j != nil && j.recovered != nil }
 
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
-
-// snapshotSeqs lists the snapshot sequence numbers present, ascending.
-func (j *Journal) snapshotSeqs() ([]uint64, error) {
-	names, err := filepath.Glob(filepath.Join(j.dir, "state-*.ckpt"))
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, name := range names {
-		var seq uint64
-		if _, err := fmt.Sscanf(filepath.Base(name), "state-%d.ckpt", &seq); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-	return seqs, nil
-}
 
 // loadSnapshot reads and decodes one snapshot file into a journalState.
 func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
@@ -527,87 +499,38 @@ func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
 	return st, nil
 }
 
-// scanWAL reads wal-<seq>, tolerating (and truncating) a torn or
-// undecodable tail: the returned records are the longest prefix that is
-// both checksum-intact and content-decodable. A missing WAL file is an
-// empty one — the crash may have hit between snapshot and WAL creation.
-func (j *Journal) scanWAL(seq uint64) ([]journalRec, error) {
+// openWAL opens wal-<seq> for appending and returns its records: the
+// longest prefix that is both checksum-intact and decodable. The tail past
+// it — a crash mid-append, or a record whose checksum held over garbage —
+// is truncated, loudly. A missing WAL opens empty: the crash may have hit
+// between snapshot and WAL creation.
+func (j *Journal) openWAL(seq uint64) (*checkpoint.Log, []journalRec, error) {
 	path := walPath(j.dir, seq)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	raws, validOff, tailErr := checkpoint.ScanSegment(f)
-	f.Close()
-	recs := make([]journalRec, 0, len(raws))
-	goodOff := validOff
-	if tailErr == nil {
-		// Recompute the prefix offset only if a record fails to decode.
-		goodOff = -1
-	}
-	for i, raw := range raws {
-		r, err := decodeJournalRecord(raw)
-		if err != nil {
-			// Checksum held but content is garbage — keep the prefix and
-			// truncate here, like a torn tail.
-			tailErr = err
-			goodOff = walPrefixLen(raws[:i])
-			break
+	var recs []journalRec
+	var decodeErr error
+	wal, err := checkpoint.OpenLog(path, j.open, func(raws [][]byte) (int, error) {
+		for _, raw := range raws {
+			r, err := decodeJournalRecord(raw)
+			if err != nil {
+				decodeErr = err
+				break
+			}
+			recs = append(recs, r)
 		}
-		recs = append(recs, r)
+		return len(recs), nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: journal WAL %d: %w", seq, err)
 	}
-	if tailErr != nil {
-		if goodOff < 0 {
-			goodOff = validOff
+	if torn := wal.Torn(); torn != nil {
+		if decodeErr != nil {
+			torn.Cause = decodeErr
 		}
 		j.scope.Counter("dist_journal_tail_truncated").Add(1)
-		j.scope.Event("dist_journal_tail_truncated")
-		if err := os.Truncate(path, goodOff); err != nil {
-			return nil, fmt.Errorf("dist: truncating torn journal tail: %w", err)
-		}
+		j.scope.Event("dist_journal_tail_truncated",
+			append(torn.Attrs(), slog.String("what", filepath.Base(path)))...)
 	}
-	return recs, nil
-}
-
-// walPrefixLen computes the on-disk length of a WAL holding exactly these
-// record payloads: magic header plus, per record, the uvarint length, the
-// payload and the 32-byte checksum.
-func walPrefixLen(raws [][]byte) int64 {
-	n := int64(8) // len(segmentMagic)
-	var lenBuf [binary.MaxVarintLen64]byte
-	for _, raw := range raws {
-		n += int64(binary.PutUvarint(lenBuf[:], uint64(len(raw)))) + int64(len(raw)) + 32
-	}
-	return n
-}
-
-// openWAL (re)opens the active WAL for appending. A fresh file gets the
-// segment magic; an existing one (recovery continuing a truncated WAL) is
-// appended to past its intact prefix.
-func (j *Journal) openWAL() error {
-	path := walPath(j.dir, j.seq)
-	info, err := os.Stat(path)
-	fresh := errors.Is(err, os.ErrNotExist) || (err == nil && info.Size() == 0)
-	f, err := j.open(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
-	if err != nil {
-		return err
-	}
-	j.wal = f
-	if fresh {
-		w, err := checkpoint.NewWriter(f)
-		if err != nil {
-			f.Close()
-			j.wal = nil
-			return err
-		}
-		j.walW = w
-	} else {
-		j.walW = checkpoint.NewAppendWriter(f)
-	}
-	return nil
+	return wal, recs, nil
 }
 
 // append logs one mutation. A write failure degrades the journal to
@@ -615,29 +538,32 @@ func (j *Journal) openWAL() error {
 // the run keeps going, it just stops being crash-recoverable until the
 // next successful snapshot re-establishes durability.
 func (j *Journal) append(rec journalRec) {
-	if j == nil || j.degraded || j.walW == nil {
+	if j == nil || j.degraded || j.wal == nil {
 		return
 	}
-	payload := rec.encode()
-	if err := j.walW.Append(payload); err != nil {
+	n, err := j.wal.Append(rec.encode())
+	if err != nil {
 		j.degrade("append", err)
 		return
 	}
 	j.scope.Counter("dist_journal_appends").Add(1)
-	j.scope.Counter("dist_journal_bytes").Add(int64(len(payload)) + 32)
+	j.scope.Counter("dist_journal_bytes").Add(n)
 }
 
 // degrade marks the journal memory-only after a disk fault.
 func (j *Journal) degrade(what string, err error) {
 	j.degraded = true
+	j.closeWAL()
+	j.scope.Counter("dist_journal_errors").Add(1)
+	j.scope.Gauge("dist_journal_degraded").Set(1)
+	j.scope.Event("dist_journal_degraded", slog.String("what", what), slog.String("cause", err.Error()))
+}
+
+func (j *Journal) closeWAL() {
 	if j.wal != nil {
 		j.wal.Close()
 		j.wal = nil
-		j.walW = nil
 	}
-	j.scope.Counter("dist_journal_errors").Add(1)
-	j.scope.Gauge("dist_journal_degraded").Set(1)
-	j.scope.Event("dist_journal_degraded")
 }
 
 // Degraded reports whether the journal has fallen back to memory-only.
@@ -655,35 +581,33 @@ func (j *Journal) snapshot(records [][]byte) error {
 		return nil
 	}
 	next := j.seq + 1
-	if err := j.writeAtomicSegment(snapPath(j.dir, next), records); err != nil {
+	path := snapPath(j.dir, next)
+	if _, err := checkpoint.PublishSegment(path, j.open, records); err != nil {
 		j.scope.Counter("dist_journal_errors").Add(1)
-		j.scope.Event("dist_journal_snapshot_failed")
-		if j.walW == nil && !j.degraded {
-			// Recovery's own snapshot failed before any WAL was open for
-			// this incarnation: keep appending to the WAL we recovered
-			// from. Its replay is idempotent over the records a future
-			// recovery re-applies, so extending it stays sound.
-			if oerr := j.openWAL(); oerr != nil {
-				j.degrade("reopen", oerr)
-			}
-		}
+		j.scope.Event("dist_journal_snapshot_failed",
+			slog.String("what", filepath.Base(path)), slog.String("cause", err.Error()))
 		return err
 	}
-	if j.wal != nil {
-		j.wal.Close()
-		j.wal = nil
-		j.walW = nil
-	}
+	j.closeWAL()
 	j.seq = next
-	if err := j.openWAL(); err != nil {
+	wal, _, err := j.openWAL(next)
+	if err != nil {
 		j.degrade("rotate", err)
-	} else if j.degraded {
-		j.degraded = false
-		j.scope.Gauge("dist_journal_degraded").Set(0)
-		j.scope.Event("dist_journal_recovered_durability")
+	} else {
+		j.wal = wal
+		if j.degraded {
+			j.degraded = false
+			j.scope.Gauge("dist_journal_degraded").Set(0)
+			j.scope.Event("dist_journal_recovered_durability")
+		}
 	}
 	j.scope.Counter("dist_journal_snapshots").Add(1)
-	j.gc()
+	// Keep-2 GC. WALs can outlive their snapshot when a snapshot write
+	// failed, so both families are swept by the same floor.
+	if next >= 2 {
+		snapFiles.Prune(j.dir, next-1)
+		walFiles.Prune(j.dir, next-1)
+	}
 	return nil
 }
 
@@ -693,87 +617,6 @@ func (j *Journal) nextSeq() uint64 {
 		return 0
 	}
 	return j.seq + 1
-}
-
-// gc removes snapshot/WAL pairs older than keep-2.
-func (j *Journal) gc() {
-	if j.seq < 2 {
-		return
-	}
-	floor := j.seq - 1
-	seqs, err := j.snapshotSeqs()
-	if err != nil {
-		return
-	}
-	for _, s := range seqs {
-		if s < floor {
-			os.Remove(snapPath(j.dir, s))
-			os.Remove(walPath(j.dir, s))
-		}
-	}
-	// WALs can outlive their snapshot when a snapshot write failed; sweep
-	// them by the same floor.
-	if names, err := filepath.Glob(filepath.Join(j.dir, "wal-*.seg")); err == nil {
-		for _, name := range names {
-			var s uint64
-			if _, err := fmt.Sscanf(filepath.Base(name), "wal-%d.seg", &s); err == nil && s < floor {
-				os.Remove(name)
-			}
-		}
-	}
-}
-
-// writeAtomicSegment publishes a segment file of the given records
-// crash-safely through the journal's file hook: temp file, fsync, rename,
-// directory fsync — the same discipline as checkpoint.WriteFileAtomic,
-// reimplemented here because the hook must see every write (the disk-fault
-// tests inject ENOSPC into exactly this path).
-func (j *Journal) writeAtomicSegment(path string, records [][]byte) error {
-	tmpName := path + ".tmp"
-	tmp, err := j.open(tmpName, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
-	if err != nil {
-		return fmt.Errorf("dist: journal temp file: %w", err)
-	}
-	w, err := checkpoint.NewWriter(tmp)
-	if err == nil {
-		for _, rec := range records {
-			if err = w.Append(rec); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("dist: journal rename: %w", err)
-	}
-	return syncJournalDir(j.dir)
-}
-
-// syncJournalDir fsyncs the journal directory so a completed rename
-// survives power loss; filesystems that cannot sync directories degrade to
-// rename-only atomicity.
-func syncJournalDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("dist: open journal dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, errors.ErrUnsupported) {
-		return fmt.Errorf("dist: fsync journal dir: %w", err)
-	}
-	return nil
 }
 
 // IsJournalCorrupt reports whether err marks a corrupt journal record.

@@ -3,12 +3,15 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/explore"
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // sampleJournalRecords returns one well-formed encoded payload per record
@@ -198,8 +201,8 @@ func TestJournalUndecodableRecordTruncated(t *testing.T) {
 	}
 	j.append(journalRec{Tag: jrecGen, Gen: 1})
 	// A checksum-valid record with an unknown tag: append through the
-	// segment writer directly.
-	if err := j.walW.Append([]byte{0xfe, 0x01, 0x02}); err != nil {
+	// WAL log directly.
+	if _, err := j.wal.Append([]byte{0xfe, 0x01, 0x02}); err != nil {
 		t.Fatal(err)
 	}
 	j.append(journalRec{Tag: jrecGen, Gen: 2}) // after the garbage; must be dropped too
@@ -325,6 +328,85 @@ func TestJournalAppendDegradesOnDiskFault(t *testing.T) {
 	j.append(journalRec{Tag: jrecGen, Gen: 2})
 	if j.Degraded() {
 		t.Fatal("post-recovery append degraded again")
+	}
+}
+
+// TestJournalFaultEventsNameCause: the journal's fault events say what
+// failed and why — the same what/cause/truncated_from/truncated_to
+// attributes ledger_torn_tail carries — so a trace alone explains a
+// degraded or truncated journal.
+func TestJournalFaultEventsNameCause(t *testing.T) {
+	var buf bytes.Buffer
+	scope := obs.NewScope(obs.NewTracer(&buf))
+	dir := t.TempDir()
+	seeded := false
+	opener := func(path string, flag int) (faults.File, error) {
+		if !seeded {
+			// Let the seed snapshot through untouched; budget every file
+			// after it.
+			seeded = true
+			return faults.OpenOS(path, flag)
+		}
+		return (&faults.FSFault{Budget: 64}).Opener()(path, flag)
+	}
+	j, err := OpenJournal(dir, JournalOptions{Opener: opener, Scope: scope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := (&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()
+	if err := j.attachFresh([][]byte{meta}); err != nil {
+		t.Fatal(err)
+	}
+	big := journalRec{Tag: jrecCkpt, Slice: 0, Level: 1, Body: make([]byte, 256)}
+	j.append(big)
+	if !j.Degraded() {
+		t.Fatal("append past the byte budget did not degrade the journal")
+	}
+	if err := j.snapshot([][]byte{meta, big.encode()}); err == nil {
+		t.Fatal("snapshot past the byte budget succeeded")
+	}
+
+	// A torn tail on a healthy journal, truncated by the next open.
+	tornDir := t.TempDir()
+	h := openTestJournal(t, tornDir, nil)
+	if err := h.attachFresh([][]byte{meta}); err != nil {
+		t.Fatal(err)
+	}
+	h.append(journalRec{Tag: jrecGen, Gen: 1})
+	h.wal.Close()
+	f, err := os.OpenFile(walPath(tornDir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0x22, 0x01, 0x02})
+	f.Close()
+	info, err := os.Stat(walPath(tornDir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(tornDir, JournalOptions{Scope: scope}); err != nil {
+		t.Fatal(err)
+	}
+
+	events := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("trace line is not JSON: %v\n%s", err, line)
+		}
+		events[rec["msg"].(string)] = rec
+	}
+	diskFull := faults.ErrDiskFull.Error()
+	if ev := events["dist_journal_degraded"]; ev["what"] != "append" || !strings.Contains(fmt.Sprint(ev["cause"]), diskFull) {
+		t.Fatalf("dist_journal_degraded event %v, want what=append and a disk-full cause", ev)
+	}
+	if ev := events["dist_journal_snapshot_failed"]; ev["what"] != filepath.Base(snapPath(dir, 1)) || !strings.Contains(fmt.Sprint(ev["cause"]), diskFull) {
+		t.Fatalf("dist_journal_snapshot_failed event %v, want the snapshot file and a disk-full cause", ev)
+	}
+	ev := events["dist_journal_tail_truncated"]
+	if ev["what"] != filepath.Base(walPath(tornDir, 0)) || ev["truncated_from"] != float64(info.Size()) ||
+		ev["truncated_to"] != float64(info.Size()-3) || ev["cause"] == nil {
+		t.Fatalf("dist_journal_tail_truncated event %v, want the WAL cut from %d to %d bytes with a cause", ev, info.Size(), info.Size()-3)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"log/slog"
-	"os"
 	"sync"
 	"time"
 
@@ -212,10 +210,7 @@ type itemRef struct {
 // proofs it attests), and serves inclusion proofs per job.
 type Ledger struct {
 	mu      sync.Mutex
-	f       *os.File
-	w       *checkpoint.Writer
-	path    string
-	good    int64 // file offset of the last durably committed record's end
+	log     *checkpoint.Log
 	batches []*Batch
 	index   map[string]itemRef
 	scope   *obs.Scope
@@ -227,67 +222,36 @@ type Ledger struct {
 // records after the tear were never acknowledged, so dropping them is
 // recovery, not data loss (the server re-commits unledgered results on its
 // recovery sweep). A file whose intact prefix fails chain verification is
-// refused: that is tampering or rot, not a crash artifact.
+// refused before anything touches it: that is tampering or rot, not a
+// crash artifact.
 func Open(path string, scope *obs.Scope) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: open: %w", err)
-	}
-	l := &Ledger{f: f, path: path, index: make(map[string]itemRef), scope: scope,
+	l := &Ledger{index: make(map[string]itemRef), scope: scope,
 		now: func() int64 { return time.Now().UnixNano() }}
-	st, err := f.Stat()
+	log, err := checkpoint.OpenLog(path, nil, func(records [][]byte) (int, error) {
+		for _, rec := range records {
+			b, err := DecodeBatch(rec)
+			if err != nil {
+				return 0, err
+			}
+			l.batches = append(l.batches, b)
+		}
+		return len(records), VerifyChain(l.batches)
+	})
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: stat: %w", err)
-	}
-	if st.Size() == 0 {
-		w, err := checkpoint.NewWriter(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: sync header: %w", err)
-		}
-		l.w, l.good = w, w.Bytes()
-		return l, nil
-	}
-	records, validOff, tailErr := checkpoint.ScanSegment(f)
-	if tailErr != nil && validOff == 0 {
-		f.Close()
-		return nil, fmt.Errorf("ledger: %s: header unreadable: %w", path, tailErr)
-	}
-	for _, rec := range records {
-		b, err := DecodeBatch(rec)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: %s: %w", path, err)
-		}
-		l.batches = append(l.batches, b)
-	}
-	if err := VerifyChain(l.batches); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("ledger: %s: %w", path, err)
 	}
-	if tailErr != nil {
-		// Crash mid-append: drop the torn tail and continue from the last
-		// intact record. Loud in obs — operators should see every tear.
+	if torn := log.Torn(); torn != nil {
+		// Crash mid-append: the torn tail is gone and the chain continues
+		// from the last intact record. Loud in obs — operators should see
+		// every tear.
 		scope.Counter("ledger_torn_tails").Add(1)
-		scope.Event("ledger_torn_tail",
-			slog.Int64("truncated_from", st.Size()),
-			slog.Int64("truncated_to", validOff),
-			slog.String("cause", tailErr.Error()))
-		if err := f.Truncate(validOff); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ledger: truncate torn tail: %w", err)
-		}
+		scope.Event("ledger_torn_tail", torn.Attrs()...)
 	}
-	if _, err := f.Seek(validOff, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ledger: seek: %w", err)
+	if err := log.Sync(); err != nil {
+		log.Close()
+		return nil, fmt.Errorf("ledger: sync %s: %w", path, err)
 	}
-	l.w, l.good = checkpoint.NewAppendWriter(f), validOff
+	l.log = log
 	for bi, b := range l.batches {
 		for ii, it := range b.Items {
 			l.index[it.JobID] = itemRef{batch: bi, index: ii}
@@ -298,8 +262,8 @@ func Open(path string, scope *obs.Scope) (*Ledger, error) {
 
 // Append commits one batch of items: it computes the Merkle root, chains
 // it to the previous root, appends the record and fsyncs before
-// acknowledging. On a write failure the file is rolled back to the last
-// durable record boundary so a later append continues a clean stream.
+// acknowledging. A failed write or fsync rolls the file back to the last
+// committed record, so a later append continues a clean stream.
 func (l *Ledger) Append(items []Item) (*Batch, error) {
 	if len(items) == 0 {
 		return nil, fmt.Errorf("ledger: refusing to append an empty batch")
@@ -315,28 +279,17 @@ func (l *Ledger) Append(items []Item) (*Batch, error) {
 		b.PrevRoot = l.batches[n-1].Root
 	}
 	b.Root = MerkleRoot(b.leaves())
-	before := l.w.Bytes()
-	if err := l.w.Append(encodeBatch(b)); err != nil {
-		l.rollback()
+	if _, err := l.log.Append(encodeBatch(b)); err != nil {
 		return nil, fmt.Errorf("ledger: append batch %d: %w", b.Seq, err)
 	}
-	if err := l.f.Sync(); err != nil {
-		l.rollback()
+	if err := l.log.Sync(); err != nil {
 		return nil, fmt.Errorf("ledger: sync batch %d: %w", b.Seq, err)
 	}
-	l.good += l.w.Bytes() - before
 	l.batches = append(l.batches, b)
 	for ii, it := range b.Items {
 		l.index[it.JobID] = itemRef{batch: len(l.batches) - 1, index: ii}
 	}
 	return b, nil
-}
-
-// rollback restores the file to the last known-durable record boundary
-// after a failed append, so the stream stays clean for the next try.
-func (l *Ledger) rollback() {
-	_ = l.f.Truncate(l.good)
-	_, _ = l.f.Seek(l.good, 0)
 }
 
 // Contains reports whether jobID has been committed.
@@ -394,11 +347,11 @@ func (l *Ledger) Proof(jobID string) (*Proof, error) {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
+	if err := l.log.Sync(); err != nil {
+		l.log.Close()
 		return fmt.Errorf("ledger: close sync: %w", err)
 	}
-	return l.f.Close()
+	return l.log.Close()
 }
 
 // VerifyLedger reads the ledger file at path strictly — torn tails and all

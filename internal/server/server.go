@@ -25,6 +25,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/retry"
 	"repro/internal/trace"
 	"repro/internal/valency"
 )
@@ -589,7 +590,9 @@ func (s *Server) attempt(j *job) {
 		return
 	}
 
-	delay := s.backoffLocked(attempts)
+	// Capped, jittered backoff so a restarted fleet doesn't thunder back in
+	// lockstep; s.rng is guarded by s.mu.
+	delay := retry.Delay(attempts, s.opts.RetryBase, s.opts.RetryMax, s.rng, 0)
 	j.status.State = StateQueued
 	j.status.NextRetryUnixNano = time.Now().Add(delay).UnixNano()
 	s.persistLocked(j)
@@ -616,21 +619,6 @@ func (s *Server) requeueRetry(j *job) {
 	j.status.NextRetryUnixNano = 0
 	s.queue = append(s.queue, j)
 	s.scope.Gauge("jobs_queued").Set(int64(len(s.queue)))
-}
-
-// backoffLocked computes the delay before retry number attempt+1:
-// base<<(attempt-1) capped at max, plus up to 25% seeded jitter so a
-// restarted fleet doesn't thunder back in lockstep. Caller holds s.mu (the
-// rng is not concurrency-safe).
-func (s *Server) backoffLocked(attempt int) time.Duration {
-	d := s.opts.RetryBase
-	for i := 1; i < attempt && d < s.opts.RetryMax; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryMax {
-		d = s.opts.RetryMax
-	}
-	return d + time.Duration(s.rng.Int63n(int64(d/4)+1))
 }
 
 // runAttempt runs one attempt of j and turns a panic inside it into a
