@@ -234,7 +234,7 @@ func (e *Engine) lemma1(ctx context.Context, c model.Config, p []int) (model.Pat
 
 	d := c
 	for i, mv := range psi {
-		next := applyMove(d, mv)
+		next := model.Apply(d, mv)
 		u1, err := univalentAt(ctx, e.oracle, next, q1, v)
 		if err != nil {
 			return nil, 0, fmt.Errorf("lemma 1 prefix %d: %w", i, err)
@@ -308,7 +308,7 @@ func (e *Engine) lemma2(ctx context.Context, c model.Config, covered map[int]boo
 			e.prog.note("lemma 2: p%d forced outside cover %v, poised on register %d", z, model.PidList(covered), op.Reg)
 			return append(model.Path{}, zeta[:i]...), op.Reg, nil
 		}
-		d = applyMove(d, mv)
+		d = model.Apply(d, mv)
 	}
 	return nil, 0, fmt.Errorf(
 		"lemma 2 violated: p%d decided solo writing only inside the cover %v", z, model.PidList(covered))
@@ -371,7 +371,7 @@ func (e *Engine) lemma3(ctx context.Context, c model.Config, p, r []int) (model.
 	d := c
 	configs = append(configs, d)
 	for _, mv := range psi {
-		d = applyMove(d, mv)
+		d = model.Apply(d, mv)
 		configs = append(configs, d)
 	}
 	for i := len(psi) - 1; i >= 0; i-- {
@@ -398,10 +398,6 @@ func (e *Engine) lemma3(ctx context.Context, c model.Config, p, r []int) (model.
 		return phi, crit, nil
 	}
 	return nil, 0, fmt.Errorf("lemma 3: no prefix of ψ leaves R able to decide %s after β", string(v))
-}
-
-func applyMove(c model.Config, m model.Move) model.Config {
-	return model.RunPath(c, model.Path{m})
 }
 
 // univalentAt reports whether set is v-univalent from c.

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"sort"
 
-	"repro/internal/explore"
 	"repro/internal/model"
 	"repro/internal/valency"
 )
@@ -187,7 +186,7 @@ func (e *Engine) theorem1Pair(ctx context.Context, m model.Machine, initial mode
 			w.OracleStats = e.oracle.Stats()
 			return w, nil
 		}
-		d = explore.Apply(d, mv)
+		d = model.Apply(d, mv)
 	}
 	return nil, fmt.Errorf(
 		"theorem 1 violated at n=2: p0 decided solo without writing (p1 cannot distinguish; protocol %s is not a consensus protocol)",

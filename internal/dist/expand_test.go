@@ -11,7 +11,7 @@ import (
 )
 
 // referenceExpand is the exchange contract in its plainest form: replay
-// each entry's path from the root, take every move AppendMoves lists, apply
+// each entry's path from the root, take every move explore.Moves lists, apply
 // it, fingerprint the child, and bucket the child under its owning slice
 // in that order. It returns the buckets and the transition count.
 func referenceExpand(t *testing.T, run *Run, frontier []Entry, slices int) (map[int][]Entry, int64) {
@@ -21,9 +21,9 @@ func referenceExpand(t *testing.T, run *Run, frontier []Entry, slices int) (map[
 	var steps int64
 	for _, e := range frontier {
 		cfg := e.Replay(run.Root)
-		for _, mv := range explore.AppendMoves(nil, cfg, run.Procs) {
+		for _, mv := range explore.Moves(cfg, run.Procs) {
 			steps++
-			fp := fpr.Fingerprint(explore.Apply(cfg, mv))
+			fp := fpr.Fingerprint(model.Apply(cfg, mv))
 			packed, err := model.PackMove(mv)
 			if err != nil {
 				t.Fatal(err)

@@ -137,7 +137,7 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 func (e *Entry) Replay(root model.Config) model.Config {
 	c := root
 	for _, mv := range e.Path {
-		c = explore.Apply(c, model.UnpackMove(mv))
+		c = model.Apply(c, model.UnpackMove(mv))
 	}
 	return c
 }

@@ -129,9 +129,5 @@ func replayTo(res *Result, root model.Config, id int) (model.Config, error) {
 	if !ok {
 		return model.Config{}, fmt.Errorf("node id %d out of range", id)
 	}
-	cfg := root
-	for _, m := range path {
-		cfg = Apply(cfg, m)
-	}
-	return cfg, nil
+	return model.RunPath(root, path), nil
 }

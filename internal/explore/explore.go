@@ -190,42 +190,27 @@ func (r *Result) PathTo(id int) (model.Path, bool) {
 	return rev, true
 }
 
-// AppendMoves appends the moves available to the processes in p at
-// configuration c to dst and returns the extended slice: one move per
-// non-decided process, except that a process poised on a coin flip
-// contributes one move per outcome. Decided processes take no steps (their
-// next "step" would be a no-op self-loop). The append form keeps the
-// exploration inner loop allocation-free: workers pass a reused buffer.
-func AppendMoves(dst []model.Move, c model.Config, p []int) []model.Move {
+// Moves enumerates the moves available to the processes in p at
+// configuration c: one move per non-decided process, except that a process
+// poised on a coin flip contributes one move per outcome. Decided processes
+// take no steps (their next "step" would be a no-op self-loop).
+func Moves(c model.Config, p []int) []model.Move {
+	moves := make([]model.Move, 0, len(p)+2)
 	for _, pid := range p {
 		k, _ := model.PeekOp(c.State(pid))
 		switch k {
 		case model.OpDecide:
 			// Terminated; contributes no transitions.
 		case model.OpCoin:
-			dst = append(dst,
+			moves = append(moves,
 				model.Move{Pid: pid, Coin: "0"},
 				model.Move{Pid: pid, Coin: "1"},
 			)
 		default:
-			dst = append(dst, model.Move{Pid: pid})
+			moves = append(moves, model.Move{Pid: pid})
 		}
 	}
-	return dst
-}
-
-// Moves enumerates the moves available to the processes in p at
-// configuration c in a fresh slice; hot loops use AppendMoves.
-func Moves(c model.Config, p []int) []model.Move {
-	return AppendMoves(make([]model.Move, 0, len(p)+2), c, p)
-}
-
-// Apply performs the move on c.
-func Apply(c model.Config, m model.Move) model.Config {
-	if k, _ := model.PeekOp(c.State(m.Pid)); k == model.OpCoin {
-		return c.Step(m.Pid, m.Coin)
-	}
-	return c.StepDet(m.Pid)
+	return moves
 }
 
 // levelEntry is one frontier configuration awaiting expansion: its node id

@@ -68,7 +68,7 @@ func naiveReach(c model.Config, p []int, opts Options) naiveResult {
 		for _, cfg := range level {
 			for _, m := range Moves(cfg, p) {
 				res.steps++
-				child := Apply(cfg, m)
+				child := model.Apply(cfg, m)
 				key := opts.ConfigKey(child)
 				if seen[key] {
 					continue

@@ -65,7 +65,8 @@ type chunk struct {
 }
 
 // Expander is the exploration kernel every BFS in this repository steps
-// through: Reach's workers and the shard workers of internal/dist. It is
+// through: Reach's workers, the shard workers of internal/dist and the
+// valency oracle's many-candidate mask BFS (internal/valency). It is
 // per-goroutine scratch — a PackedStepper with its memos, the record and
 // move buffers, and a streaming key hasher — over a PackedCodec that any
 // number of Expanders may share. Records are PackedCodec records; the
@@ -106,9 +107,9 @@ func (x *Expander) Pack(c model.Config) ([]uint64, error) {
 	return x.parent, nil
 }
 
-// Moves lists the moves of the processes in p at record rec in
-// AppendMoves order: pid order, a decided process contributing none and a
-// coin-poised one its "0" outcome before its "1".
+// Moves lists the moves of the processes in p at record rec in the order
+// the package-level Moves lists them: pid order, a decided process
+// contributing none and a coin-poised one its "0" outcome before its "1".
 func (x *Expander) Moves(rec []uint64, p []int) []model.Move {
 	x.moves = x.moves[:0]
 	for _, pid := range p {

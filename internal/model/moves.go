@@ -60,17 +60,19 @@ func MovesOf(s Schedule) Path {
 	return p
 }
 
-// RunPath applies the path to configuration c. Coin outcomes are taken from
-// the moves; a coin-flip step whose move carries no outcome defaults to "0".
+// RunPath applies the path to configuration c, move by move (see Apply).
 func RunPath(c Config, p Path) Config {
 	for _, m := range p {
-		c = applyMove(c, m)
+		c = Apply(c, m)
 	}
 	return c
 }
 
-func applyMove(c Config, m Move) Config {
-	if c.State(m.Pid).Pending().Kind == OpCoin {
+// Apply performs move m on c. A coin-flip step takes its outcome from the
+// move, defaulting to "0" when the move carries none; any other step
+// ignores the move's coin.
+func Apply(c Config, m Move) Config {
+	if k, _ := PeekOp(c.State(m.Pid)); k == OpCoin {
 		out := m.Coin
 		if out == Bottom {
 			out = "0"

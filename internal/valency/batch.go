@@ -2,102 +2,134 @@ package valency
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/bits"
 	"slices"
+	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/explore"
 	"repro/internal/model"
 )
 
-// Batched valency probes: many candidate process sets, one search.
+// Valency queries: one path for one candidate process set or many.
 //
-// The adversary's Lemma 1 asks, for each z in a bivalent set P, whether
-// P-{z} is still bivalent — n candidate sets whose p-only spaces overlap
-// almost entirely (every configuration reachable without touching two of
-// the processes is shared by n-2 of the candidates). Probing them one at a
-// time re-explores that shared space once per candidate. The batch probe
-// explores it once: a single BFS over the union space where every
-// configuration carries a bitmask of the candidates for which the path
-// that reached it is candidate-only. A step by process q propagates the
-// parent's mask minus the candidates excluding q, so a set bit k on a node
-// is a proof that the node's witness path is a candidates[k]-only
-// execution — which makes decided values found under bit k certificates
-// for candidate k, with the same replayable witness paths Decidable
-// produces.
+// Every query — Decidable, DecideBatch, ProbeBivalentBatch — runs the same
+// sequence per candidate: memo lookup, solo seeding, one shared search for
+// whatever is still open, then the outcome rules. A candidate certified
+// bivalent is exact however the search ended (decidable sets only grow and
+// {0,1} is maximal); a candidate whose space the search exhausted within
+// budget is exact too. Both are memoised as full verdicts. A budget-capped
+// miss is inconclusive and leaves the memo untouched, so a later exhaustive
+// query is unimpeded.
 //
-// Exactness mirrors ProbeBivalent: a candidate resolved bivalent within
-// budget is exact; when the search drains the union frontier within budget
-// every remaining candidate's space was exhausted and its (non-bivalent)
-// verdict is exact too. Both are memoised as full verdicts. A
-// budget-capped miss is inconclusive and leaves the memo untouched.
-//
-// Batch searches never snapshot mid-search (they are budget-bounded and
-// cheap to redo); a crash-resumed run replays the whole batch and lands on
+// The search depends on the number of candidates. One candidate runs the
+// packed, parallel, spillable Reach; at its BFS level boundaries an
+// attached checkpointer may snapshot it in flight, and a crash-resumed run
+// re-enters it there. Many candidates run one mask BFS over the union of
+// their p-only spaces. The adversary's Lemma 1 asks, for each z in a
+// bivalent set P, whether P-{z} is still bivalent: n candidate sets whose
+// spaces overlap almost entirely. The mask BFS explores the shared space
+// once. Every node carries a bitmask of the candidates for which the path
+// that reached it is candidate-only; a step by process q propagates the
+// parent's mask minus the candidates excluding q. A set bit k is therefore
+// a proof that the node's witness path is a candidates[k]-only execution,
+// which makes decided values found under bit k certificates for candidate
+// k, with replayable witness paths. The mask BFS never snapshots: it is
+// budget-bounded and cheap to redo, and a crash-resumed run replays it onto
 // the same memoised verdicts.
 
 // maxBatchCandidates bounds one batch (the mask is a uint64).
 const maxBatchCandidates = 64
 
-// batchOutcome is one candidate's resolution within a batch.
-type batchOutcome struct {
+// outcome is one candidate's answer. err is nil when the verdict is exact;
+// otherwise it is the cap that stopped the search short, and the verdict
+// holds only what was found before it did.
+type outcome struct {
+	key     queryKey
 	verdict *Verdict
-	exact   bool
+	err     error
+}
+
+// exact returns the outcome's verdict, or its cap wrapped for candidate p.
+func (out *outcome) exact(p []int) (*Verdict, error) {
+	if out.err != nil {
+		return nil, fmt.Errorf("valency query |P|=%d: %w", len(p), out.err)
+	}
+	return out.verdict, nil
+}
+
+// Decidable computes the set of values the process set p can decide from c
+// (Definition 1), with witness executions. p must be non-empty and sorted
+// (use model.PidList / model.Without to build process sets). It errors,
+// wrapping explore.ErrCapped, if the oracle's cap binds first.
+func (o *Oracle) Decidable(ctx context.Context, c model.Config, p []int) (*Verdict, error) {
+	outs, err := o.query(ctx, c, [][]int{p}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0].exact(p)
 }
 
 // DecideBatch computes Decidable for every candidate process set in one
 // shared search over the union of their p-only spaces. It is exact: if the
-// oracle's configuration cap binds before the union space is exhausted and
-// some candidate is still unresolved, it errors like Decidable would.
+// oracle's configuration cap binds before some candidate is resolved, it
+// errors like Decidable would.
 func (o *Oracle) DecideBatch(ctx context.Context, c model.Config, cands [][]int) ([]*Verdict, error) {
-	outs, err := o.decideBatch(ctx, c, cands, 0)
+	outs, err := o.query(ctx, c, cands, 0)
 	if err != nil {
 		return nil, err
 	}
 	verdicts := make([]*Verdict, len(outs))
-	for i, out := range outs {
-		if !out.exact {
-			return nil, fmt.Errorf("valency batch query |P|=%d: %w", len(cands[i]), explore.ErrCapped)
+	for i := range outs {
+		if verdicts[i], err = outs[i].exact(cands[i]); err != nil {
+			return nil, err
 		}
-		verdicts[i] = out.verdict
 	}
 	return verdicts, nil
 }
 
-// ProbeBivalentBatch is ProbeBivalent over many candidate sets at once,
-// sharing one search (and one budget) across all of them. results[i] is
-// true iff candidates[i] was certified bivalent; false means either an
-// exact refutation (memoised) or an inconclusive budget miss (not
-// memoised), exactly as for ProbeBivalent.
+// ProbeBivalentBatch asks only whether each candidate is bivalent from c,
+// spending at most budget configurations on one shared search (0 means the
+// oracle's full cap). results[i] is true iff candidates[i] was certified
+// bivalent; false means either an exact refutation (memoised) or an
+// inconclusive budget miss (not memoised), NOT "univalent".
+//
+// The probe is what makes bivalence's asymmetry exploitable: the
+// adversary's Lemma 1 needs only *some* process whose removal leaves a
+// bivalent set, and finding one costs two solo certificates instead of
+// exhausting a |P|-1 space.
 func (o *Oracle) ProbeBivalentBatch(ctx context.Context, c model.Config, cands [][]int, budget int) ([]bool, error) {
-	outs, err := o.decideBatch(ctx, c, cands, budget)
+	outs, err := o.query(ctx, c, cands, budget)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]bool, len(outs))
-	for i, out := range outs {
-		results[i] = out.verdict != nil && out.verdict.Bivalent()
+	for i := range outs {
+		results[i] = outs[i].verdict.Bivalent()
 	}
 	return results, nil
 }
 
-// decideBatch is the shared worker: memo and solo fast paths per
-// candidate, then one mask-annotated BFS for whatever remains. budget <= 0
-// means the oracle's full cap.
-func (o *Oracle) decideBatch(ctx context.Context, c model.Config, cands [][]int, budget int) ([]batchOutcome, error) {
+// query resolves every candidate process set of a valency query; budget <= 0
+// means the oracle's full cap. It errors on an invalid candidate, on
+// cancellation before every open candidate is certified, and on a search
+// error that is not a cap (a lost or non-replaying witness); a capped
+// search instead leaves the affected outcomes inexact.
+func (o *Oracle) query(ctx context.Context, c model.Config, cands [][]int, budget int) ([]outcome, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("valency: empty candidate batch")
 	}
 	if len(cands) > maxBatchCandidates {
 		return nil, fmt.Errorf("valency: batch of %d candidates exceeds %d", len(cands), maxBatchCandidates)
 	}
-	outs := make([]batchOutcome, len(cands))
-	keys := make([]queryKey, len(cands))
-	active := make([]int, 0, len(cands))
+	outs := make([]outcome, len(cands))
+	var open []int
 	for i, p := range cands {
 		if len(p) == 0 {
-			return nil, fmt.Errorf("valency: empty process set in batch")
+			return nil, fmt.Errorf("valency: empty process set")
 		}
 		o.stats.Queries++
 		o.metrics.queries.Add(1)
@@ -105,243 +137,294 @@ func (o *Oracle) decideBatch(ctx context.Context, c model.Config, cands [][]int,
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = key
+		out := &outs[i]
+		out.key = key
 		if v, ok := o.memo.verdicts[key]; ok {
 			o.stats.Hits++
 			o.metrics.hits.Add(1)
+			out.verdict = v
 			o.probeOutcome(p, "memo", v.Bivalent())
-			outs[i] = batchOutcome{verdict: v, exact: true}
 			continue
 		}
-		active = append(active, i)
-	}
-
-	// Solo certificates first: SoloDeciding is memoised per (config, pid)
-	// and every pid recurs in most candidates, so the whole pass costs at
-	// most one tiny solo search per process.
-	still := active[:0]
-	for _, i := range active {
-		verdict := newVerdict()
-		if err := o.seedSolo(ctx, c, cands[i], verdict); err != nil {
+		// Solo certificates first: SoloDeciding is memoised per (config,
+		// pid) and every pid recurs in most candidates, so seeding a whole
+		// batch costs at most one tiny solo search per process.
+		out.verdict = newVerdict()
+		if err := o.seedSolo(ctx, c, p, out.verdict); err != nil {
 			return nil, err
 		}
-		if verdict.Bivalent() {
-			o.memo.verdicts[keys[i]] = verdict
-			o.probeOutcome(cands[i], "solo-certificate", true)
-			outs[i] = batchOutcome{verdict: verdict, exact: true}
+		if out.verdict.Bivalent() {
+			o.memo.verdicts[key] = out.verdict
+			o.probeOutcome(p, "solo-certificate", true)
 			continue
 		}
-		outs[i] = batchOutcome{verdict: verdict}
-		still = append(still, i)
+		open = append(open, i)
 	}
-	active = still
-	if len(active) == 0 {
-		o.ckpt.Tick()
-		return outs, nil
-	}
-
-	exhausted, err := o.batchSearch(ctx, c, cands, keys, active, outs, budget)
-	if err != nil {
-		return nil, err
-	}
-	for _, i := range active {
-		out := &outs[i]
-		switch {
-		case out.exact:
-			// Certified bivalent during the search (memoised there).
-		case exhausted:
-			o.memo.verdicts[keys[i]] = out.verdict
-			o.probeOutcome(cands[i], "exhausted", false)
-			out.exact = true
-		default:
-			o.probeOutcome(cands[i], "inconclusive", false)
+	if len(open) > 0 {
+		limit := effectiveMax(o.opts)
+		if budget > 0 && budget < limit {
+			limit = budget
+		}
+		span := "valency_batch"
+		if len(cands) == 1 {
+			span = "valency_decidable"
+		}
+		sp := o.opts.Obs.StartSpan(span, slog.Int("candidates", len(open)))
+		start := time.Now()
+		var configs int
+		var err error
+		if len(cands) == 1 {
+			configs, err = o.exploreDecidable(ctx, outs[0].key, c, cands[0], limit, outs[0].verdict)
+		} else {
+			configs, err = o.maskSearch(ctx, c, cands, outs, open, limit)
+		}
+		o.stats.Configs += configs
+		o.metrics.configs.Add(int64(configs))
+		o.metrics.queryConfigs.Observe(int64(configs))
+		o.metrics.queryUs.Observe(time.Since(start).Microseconds())
+		sp.End(slog.Int("configs", configs), slog.Bool("exhausted", err == nil))
+		if err != nil && !errors.Is(err, explore.ErrCapped) {
+			return nil, fmt.Errorf("valency query: %w", err)
+		}
+		for _, i := range open {
+			out := &outs[i]
+			switch {
+			case out.verdict.Bivalent():
+				o.memo.verdicts[out.key] = out.verdict
+				o.probeOutcome(cands[i], "search-certificate", true)
+			case err == nil:
+				o.memo.verdicts[out.key] = out.verdict
+				o.probeOutcome(cands[i], "exhausted", false)
+			case ctx.Err() != nil:
+				return nil, fmt.Errorf("valency query |P|=%d: %w", len(cands[i]), err)
+			default:
+				out.err = err
+				o.probeOutcome(cands[i], "inconclusive", false)
+			}
 		}
 	}
 	o.ckpt.Tick()
 	return outs, nil
 }
 
-// batchNode is one entry of the batch forest: enough to replay the witness
-// path, plus the candidate mask its path is valid for.
-type batchNode struct {
+// exploreDecidable runs the one-candidate search, an exhaustive p-only
+// Reach capped at limit configurations, folding decided values into verdict.
+// Values already seeded keep their witnesses; the search stops as soon as
+// the verdict is bivalent. It returns the configurations visited and
+// Reach's error.
+//
+// With a checkpointer attached, every BFS level boundary offers an
+// in-flight snapshot keyed by (key, limit); and when a loaded snapshot with
+// that exact key is pending, the search re-enters at its stored level, with
+// the values it had already discovered pre-seeded.
+func (o *Oracle) exploreDecidable(ctx context.Context, key queryKey, c model.Config, p []int, limit int, verdict *Verdict) (int, error) {
+	opts := o.opts
+	opts.MaxConfigs = limit
+	witnessIDs := make(map[model.Value]int)
+	if o.ckpt != nil {
+		opts.Snapshot = func(sn *explore.Snapshotter) {
+			o.ckpt.TickQuery(func() *checkpoint.QueryData {
+				data, err := sn.Data()
+				if err != nil {
+					return nil
+				}
+				return buildQueryData(key, limit, data, witnessIDs)
+			})
+		}
+	}
+	if q := o.resume; q != nil && explore.Fingerprint(q.FP) == key.fp && q.Pids == key.pids && q.MaxConfigs == limit {
+		o.resume = nil
+		opts.ResumeFrom = restoreQueryData(q)
+		for _, f := range q.Found {
+			val := model.Value(f.Value)
+			if !verdict.Decidable[val] {
+				verdict.Decidable[val] = true
+				witnessIDs[val] = f.ID
+			}
+		}
+	}
+	numProcs := c.NumProcesses()
+	res, err := explore.Reach(ctx, c, p, opts, func(v explore.Visit) bool {
+		// Per-pid Decided probes instead of DecidedValues(): the latter
+		// builds a map per visited configuration, which dominated the
+		// query's allocations.
+		for pid := 0; pid < numProcs; pid++ {
+			val, ok := v.Config.Decided(pid)
+			if !ok {
+				continue
+			}
+			if !verdict.Decidable[val] {
+				verdict.Decidable[val] = true
+				witnessIDs[val] = v.ID
+			}
+		}
+		// Both binary values found: executions witnessing them are
+		// already recorded, so the query can stop here — for valency,
+		// bivalence is maximal knowledge.
+		return !verdict.Bivalent()
+	})
+	o.stats.DeepestLevel = max(o.stats.DeepestLevel, res.Depth)
+	for val, id := range witnessIDs {
+		path, ok := res.PathTo(id)
+		if !ok {
+			return res.Count, fmt.Errorf("valency: lost witness for %q", string(val))
+		}
+		verdict.Witness[val] = path
+	}
+	return res.Count, err
+}
+
+// maskNode is one entry of the mask BFS forest: enough to replay the
+// witness path, plus the candidate mask its path is valid for. via is the
+// connecting move in its model.PackMove encoding.
+type maskNode struct {
 	parent int32
 	depth  int32
-	via    model.Move
+	via    uint32
 	mask   uint64
 }
 
-// batchSearch runs the mask BFS for the active candidates, folding decided
-// values into outs[i].verdict as they are found and memoising candidates
-// that reach bivalence mid-search. It reports whether the union space was
-// exhausted within budget.
-func (o *Oracle) batchSearch(ctx context.Context, c model.Config, cands [][]int, keys []queryKey, active []int, outs []batchOutcome, budget int) (bool, error) {
-	opts := o.opts
-	maxConfigs := effectiveMax(opts)
-	if budget > 0 && budget < maxConfigs {
-		maxConfigs = budget
-	}
-
-	// union is the sorted union of the candidates' processes; allowed[pid]
-	// is the set of active candidates whose process set contains pid.
-	inUnion := make(map[int]uint64)
-	for bit, i := range active {
+// maskSearch runs the many-candidate search: one BFS over the union of the
+// open candidates' spaces, stepped through an explore.Expander with every
+// node's packed record in a flat arena. It folds decided values into the
+// open verdicts, retiring each candidate once it is bivalent, and returns
+// the distinct configurations visited; a nil error means the union space
+// was exhausted within limit.
+func (o *Oracle) maskSearch(ctx context.Context, c model.Config, cands [][]int, outs []outcome, open []int, limit int) (int, error) {
+	// allowed[pid] is the set of open candidates whose process set holds
+	// pid; union lists the pids some open candidate holds.
+	numProcs := c.NumProcesses()
+	allowed := make([]uint64, numProcs)
+	for bit, i := range open {
 		for _, pid := range cands[i] {
-			inUnion[pid] |= 1 << uint(bit)
+			allowed[pid] |= 1 << uint(bit)
 		}
 	}
-	union := make([]int, 0, len(inUnion))
-	for pid := range inUnion {
-		union = append(union, pid)
-	}
-	slices.Sort(union)
-
-	allBits := uint64(1)<<uint(len(active)) - 1
-	liveBits := allBits // candidates still seeking an answer
-	fper := opts.NewFingerprinter()
-	seen := map[explore.Fingerprint]uint64{fper.Fingerprint(c): allBits}
-	nodes := []batchNode{{parent: -1, mask: allBits}}
-	cfgs := []model.Config{c}
-	// witnessIDs[bit] maps a decided value to the node certifying it for
-	// that candidate.
-	witnessIDs := make([]map[model.Value]int32, len(active))
-	for bit := range witnessIDs {
-		witnessIDs[bit] = make(map[model.Value]int32)
-	}
-
-	count := 0
-	capped := false
-	sp := opts.Obs.StartSpan("valency_batch", slog.Int("candidates", len(active)))
-	defer func() {
-		o.stats.Configs += count
-		o.metrics.configs.Add(int64(count))
-		o.metrics.queryConfigs.Observe(int64(count))
-		sp.End(slog.Int("configs", count), slog.Bool("exhausted", !capped))
-	}()
-
-	note := func(id int32) error {
-		n := &nodes[id]
-		mask := n.mask & liveBits
-		if mask == 0 {
-			return nil
+	var union []int
+	for pid, m := range allowed {
+		if m != 0 {
+			union = append(union, pid)
 		}
-		cfg := cfgs[id]
-		for _, pid := range union {
+	}
+
+	codec := model.NewPackedCodec(c)
+	x := explore.NewExpander(codec, o.opts)
+	stride := codec.Words()
+	root, err := x.Pack(c)
+	if err != nil {
+		return 0, fmt.Errorf("valency batch root: %w (and %w)", err, explore.ErrCapped)
+	}
+	arena := slices.Clone(root)
+	fp, cfg, err := x.Fingerprint(root)
+	if err != nil {
+		return 0, fmt.Errorf("valency batch root: %w (and %w)", err, explore.ErrCapped)
+	}
+	live := uint64(1)<<uint(len(open)) - 1 // candidates still seeking an answer
+	seen := map[explore.Fingerprint]uint64{fp: live}
+	nodes := []maskNode{{parent: -1, mask: live}}
+	// found[bit] maps a decided value to the node certifying it for open
+	// candidate bit.
+	found := make([]map[model.Value]int32, len(open))
+	for bit := range found {
+		found[bit] = make(map[model.Value]int32)
+	}
+	// note folds the decisions of node id's configuration, as decided by
+	// any process (Definition 1), into the verdicts of its live candidates.
+	note := func(id int32, cfg model.Config) {
+		mask := nodes[id].mask & live
+		for pid := 0; pid < numProcs && mask != 0; pid++ {
 			val, ok := cfg.Decided(pid)
 			if !ok {
 				continue
 			}
-			for m := mask & liveBits; m != 0; m &= m - 1 {
+			for m := mask; m != 0; m &= m - 1 {
 				bit := bits.TrailingZeros64(m)
-				i := active[bit]
-				verdict := outs[i].verdict
+				verdict := outs[open[bit]].verdict
 				if verdict.Decidable[val] {
 					continue
 				}
 				verdict.Decidable[val] = true
-				witnessIDs[bit][val] = id
-				if verdict.Bivalent() && !outs[i].exact {
-					if err := o.finishBatchCandidate(c, cands[i], keys[i], &outs[i], nodes, witnessIDs[bit]); err != nil {
-						return err
-					}
-					liveBits &^= 1 << uint(bit)
+				found[bit][val] = id
+				if verdict.Bivalent() {
+					live &^= 1 << uint(bit)
+					mask &^= 1 << uint(bit)
+				}
+			}
+		}
+	}
+
+	count := 1
+	note(0, cfg)
+	err = func() error {
+		for lo := 0; lo < len(nodes) && live != 0; lo++ {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("valency batch cancelled after %d configs: %w (and %w)", count, err, explore.ErrCapped)
+			}
+			if count >= limit {
+				return fmt.Errorf("valency batch hit %d configs: %w", limit, explore.ErrCapped)
+			}
+			n := nodes[lo]
+			mask := n.mask & live
+			if mask == 0 {
+				continue
+			}
+			rec := arena[lo*stride : (lo+1)*stride]
+			for _, mv := range x.Moves(rec, union) {
+				childMask := mask & allowed[mv.Pid]
+				if childMask == 0 {
+					continue
+				}
+				child, err := x.Step(rec, mv)
+				if err != nil {
+					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
+				}
+				fp, cfg, err := x.Fingerprint(child)
+				if err != nil {
+					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
+				}
+				prev, ok := seen[fp]
+				if ok && childMask&^prev == 0 {
+					continue
+				}
+				via, err := model.PackMove(mv)
+				if err != nil {
+					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
+				}
+				if !ok {
+					count++
+				}
+				seen[fp] = prev | childMask
+				id := int32(len(nodes))
+				nodes = append(nodes, maskNode{parent: int32(lo), depth: n.depth + 1, via: via, mask: childMask})
+				arena = append(arena, child...)
+				o.stats.DeepestLevel = max(o.stats.DeepestLevel, int(n.depth)+1)
+				note(id, cfg)
+				if live == 0 {
+					return nil
+				}
+				if count >= limit {
+					return fmt.Errorf("valency batch hit %d configs: %w", limit, explore.ErrCapped)
 				}
 			}
 		}
 		return nil
-	}
-	count++
-	if err := note(0); err != nil {
-		return false, err
-	}
+	}()
 
-	for lo := 0; lo < len(nodes) && liveBits != 0; lo++ {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("valency batch: %w", err)
-		}
-		if count >= maxConfigs {
-			capped = true
-			break
-		}
-		n := nodes[lo]
-		mask := n.mask & liveBits
-		if mask == 0 {
-			continue
-		}
-		cfg := cfgs[lo]
-		for _, mv := range explore.Moves(cfg, union) {
-			childMask := mask & inUnion[mv.Pid]
-			if childMask == 0 {
-				continue
+	// Materialise every found value's witness path, checking that it
+	// replays to the decision it certifies.
+	for bit, ids := range found {
+		verdict := outs[open[bit]].verdict
+		for val, id := range ids {
+			var path model.Path
+			for ; id > 0; id = nodes[id].parent {
+				path = append(path, model.UnpackMove(nodes[id].via))
 			}
-			child := explore.Apply(cfg, mv)
-			fp := fper.Fingerprint(child)
-			prev, ok := seen[fp]
-			if ok && childMask&^prev == 0 {
-				continue
+			slices.Reverse(path)
+			if !model.RunPath(c, path).DecidedValues()[val] {
+				return count, fmt.Errorf("valency batch: witness for %q does not replay", string(val))
 			}
-			if !ok {
-				count++
-			}
-			seen[fp] = prev | childMask
-			id := int32(len(nodes))
-			nodes = append(nodes, batchNode{parent: int32(lo), depth: n.depth + 1, via: mv, mask: childMask})
-			cfgs = append(cfgs, child)
-			o.stats.DeepestLevel = max(o.stats.DeepestLevel, int(n.depth)+1)
-			if err := note(id); err != nil {
-				return false, err
-			}
-			if liveBits == 0 {
-				break
-			}
-			if count >= maxConfigs {
-				capped = true
-				break
-			}
+			verdict.Witness[val] = path
 		}
 	}
-	if !capped {
-		// The union frontier drained: every unresolved candidate's space was
-		// exhausted, so its found values are its whole decidable set —
-		// materialise their witness paths for the memo.
-		for bit, i := range active {
-			if outs[i].exact {
-				continue
-			}
-			for val, id := range witnessIDs[bit] {
-				outs[i].verdict.Witness[val] = batchPathTo(nodes, id)
-			}
-		}
-	}
-	return !capped, nil
+	return count, err
 }
-
-// finishBatchCandidate materialises witness paths for a candidate that
-// reached bivalence mid-search and memoises its verdict.
-func (o *Oracle) finishBatchCandidate(c model.Config, p []int, key queryKey, out *batchOutcome, nodes []batchNode, ids map[model.Value]int32) error {
-	for val, id := range ids {
-		out.verdict.Witness[val] = batchPathTo(nodes, id)
-	}
-	for val, path := range out.verdict.Witness {
-		if !model.RunPath(c, path).DecidedValues()[val] {
-			return fmt.Errorf("valency batch: witness for %q does not replay", string(val))
-		}
-	}
-	o.memo.verdicts[key] = out.verdict
-	o.probeOutcome(p, "search-certificate", true)
-	out.exact = true
-	return nil
-}
-
-// batchPathTo replays the forest from node id back to the root.
-func batchPathTo(nodes []batchNode, id int32) model.Path {
-	var rev model.Path
-	for id > 0 {
-		rev = append(rev, nodes[id].via)
-		id = nodes[id].parent
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-

@@ -48,13 +48,23 @@ func TestSoloDecidingMemoised(t *testing.T) {
 	}
 }
 
+// probeOne probes the single candidate p, which takes the one-candidate
+// Reach search.
+func probeOne(o *Oracle, c model.Config, p []int, budget int) (bool, error) {
+	got, err := o.ProbeBivalentBatch(context.Background(), c, [][]int{p}, budget)
+	if err != nil {
+		return false, err
+	}
+	return got[0], nil
+}
+
 // TestProbeBivalentPositive: a mixed-input pair is bivalent, and the probe
 // should certify it from solo executions alone — no exhaustive search, so
 // a tiny budget suffices.
 func TestProbeBivalentPositive(t *testing.T) {
 	o := New(explore.Options{})
 	c := floodConfig("0", "1")
-	biv, err := o.ProbeBivalent(context.Background(), c, []int{0, 1}, 4)
+	biv, err := probeOne(o, c, []int{0, 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestProbeBivalentPositive(t *testing.T) {
 func TestProbeBivalentExhaustedIsExact(t *testing.T) {
 	o := New(explore.Options{})
 	c := floodConfig("0", "1")
-	biv, err := o.ProbeBivalent(context.Background(), c, []int{0}, 100000)
+	biv, err := probeOne(o, c, []int{0}, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestProbeBivalentInconclusiveNotMemoised(t *testing.T) {
 	// certificate exists; the budget caps the refutation.
 	inputs := []model.Value{"1", "1", "1"}
 	c := model.NewConfig(disk, inputs)
-	biv, err := o.ProbeBivalent(context.Background(), c, []int{0, 1}, 32)
+	biv, err := probeOne(o, c, []int{0, 1}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

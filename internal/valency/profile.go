@@ -116,7 +116,7 @@ func (o *Oracle) Profile(ctx context.Context, name string, c model.Config, p []i
 			continue
 		}
 		for _, mv := range explore.Moves(e.cfg, p) {
-			succCfg := explore.Apply(e.cfg, mv)
+			succCfg := model.Apply(e.cfg, mv)
 			succ, found := verdicts[o.opts.Fingerprint(succCfg)]
 			if !found {
 				if !res.Capped {
