@@ -115,15 +115,16 @@ func ImportMemo(d *checkpoint.MemoData) (*Memo, error) {
 
 // SetCheckpointer attaches a coordinator: the oracle registers its memo as
 // the coordinator's memo source and offers in-flight snapshots at the BFS
-// level boundaries of every exhaustive query. A nil coordinator detaches.
+// level boundaries of every one-candidate query's Reach search (batches of
+// several candidates never snapshot). A nil coordinator detaches.
 func (o *Oracle) SetCheckpointer(c *checkpoint.Coordinator) {
 	o.ckpt = c
 	c.SetMemoSource(func() *checkpoint.MemoData { return ExportMemo(o.memo) })
 }
 
 // SetResume hands the oracle the in-flight query state of a loaded
-// snapshot. The first exhaustive query matching its (fingerprint, process
-// set, effective cap) re-enters the search at the stored BFS level; in a
+// snapshot. The first one-candidate search matching its (fingerprint,
+// process set, effective cap) re-enters the search at the stored BFS level; in a
 // deterministic replay that is exactly the query the crash interrupted,
 // since every earlier query hits the restored memo.
 func (o *Oracle) SetResume(q *checkpoint.QueryData) {
@@ -139,7 +140,7 @@ func effectiveMax(opts explore.Options) int {
 	return opts.MaxConfigs
 }
 
-// buildQueryData freezes one exhaustive query for a snapshot.
+// buildQueryData freezes one one-candidate search for a snapshot.
 func buildQueryData(key queryKey, maxConfigs int, data *explore.LevelCheckpoint, witnessIDs map[model.Value]int) *checkpoint.QueryData {
 	q := &checkpoint.QueryData{
 		FP:           [2]uint64(key.fp),
