@@ -29,7 +29,6 @@ import (
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 	}
 }

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/checkpoint"
 	"repro/internal/consensus"
 	"repro/internal/explore"
 	"repro/internal/model"
@@ -139,7 +138,6 @@ type Report struct {
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 	}
 }
@@ -281,34 +279,16 @@ func checkpointedN4(plain TheoremRun, scope *obs.Scope, dir string, every time.D
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		return TheoremRun{}, nil, err
-	}
 	opts := diskOpts()
 	opts.Obs = scope
 	if spillBudget > 0 {
 		opts.SpillDir = dir
 		opts.SpillBudget = spillBudget
 	}
-	meta := checkpoint.Meta{Protocol: consensus.DiskRace{}.Name(), N: 4, MaxConfigs: opts.MaxConfigs, FPVersion: explore.FingerprintVersion}
-	engine := adversary.New(valency.New(opts))
-	if resume {
-		snap, err := store.Latest()
-		if err != nil {
-			return TheoremRun{}, nil, fmt.Errorf("resume: %w", err)
-		}
-		if snap.Meta.Protocol != meta.Protocol || snap.Meta.N != meta.N || snap.Meta.MaxConfigs != meta.MaxConfigs || snap.Meta.FPVersion != meta.FPVersion {
-			return TheoremRun{}, nil, fmt.Errorf("resume: snapshot is for %s n=%d, this row is %s n=%d",
-				snap.Meta.Protocol, snap.Meta.N, meta.Protocol, meta.N)
-		}
-		if engine, err = adversary.ResumeEngine(opts, snap); err != nil {
-			return TheoremRun{}, nil, err
-		}
-		meta = snap.Meta
+	engine, coord, _, err := adversary.Open(opts, consensus.DiskRace{}.Name(), 4, dir, every, resume, scope)
+	if err != nil {
+		return TheoremRun{}, nil, fmt.Errorf("checkpoint dir %s: %w", dir, err)
 	}
-	coord := checkpoint.NewCoordinator(store, every, meta, scope)
-	engine.SetCheckpointer(coord)
 	spillChunks := scope.Counter("spill_chunks").Value()
 	spillBytes := scope.Counter("spill_bytes").Value()
 	tr := measureTheorem1Engine(engine, consensus.DiskRace{}, 4, 10*time.Minute)

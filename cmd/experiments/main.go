@@ -58,40 +58,20 @@ type ckptConfig struct {
 // than failing: experiments is a batch sweep, and partial coverage of the
 // checkpoint directory is the normal state after a mid-sweep kill.
 func engineFor(opts explore.Options, scope *obs.Scope, protocol string, n int, cfg ckptConfig) (*adversary.Engine, *checkpoint.Coordinator, error) {
-	if cfg.dir == "" {
-		return adversary.New(valency.New(opts)), nil, nil
+	dir := ""
+	if cfg.dir != "" {
+		dir = filepath.Join(cfg.dir, fmt.Sprintf("%s-n%d", protocol, n))
 	}
-	store, err := checkpoint.Open(filepath.Join(cfg.dir, fmt.Sprintf("%s-n%d", protocol, n)))
-	if err != nil {
+	engine, coord, snap, err := adversary.Open(opts, protocol, n, dir, cfg.every, cfg.resume, scope)
+	switch {
+	case snap != nil:
+		fmt.Fprintf(os.Stderr, "experiments: %s n=%d resuming from snapshot %d, stage %q\n",
+			protocol, n, snap.Meta.Seq, snap.Meta.Stage)
+	case errors.Is(err, checkpoint.ErrStaleSnapshot):
+		fmt.Fprintf(os.Stderr, "experiments: %s n=%d: %v, starting fresh\n", protocol, n, err)
+	case err != nil && !errors.Is(err, checkpoint.ErrNoCheckpoint):
 		return nil, nil, err
 	}
-	meta := checkpoint.Meta{Protocol: protocol, N: n, MaxConfigs: opts.MaxConfigs, FPVersion: explore.FingerprintVersion}
-	if cfg.resume {
-		snap, err := store.Latest()
-		switch {
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// fall through to a fresh engine
-		case err != nil:
-			return nil, nil, fmt.Errorf("resume %s n=%d: %w", protocol, n, err)
-		case snap.Meta.Protocol != protocol || snap.Meta.N != n || snap.Meta.MaxConfigs != opts.MaxConfigs ||
-			snap.Meta.FPVersion != explore.FingerprintVersion:
-			fmt.Fprintf(os.Stderr, "experiments: %s n=%d: snapshot is for %s n=%d, ignoring\n",
-				protocol, n, snap.Meta.Protocol, snap.Meta.N)
-		default:
-			engine, err := adversary.ResumeEngine(opts, snap)
-			if err != nil {
-				return nil, nil, err
-			}
-			coord := checkpoint.NewCoordinator(store, cfg.every, snap.Meta, scope)
-			engine.SetCheckpointer(coord)
-			fmt.Fprintf(os.Stderr, "experiments: %s n=%d resuming from snapshot %d, stage %q\n",
-				protocol, n, snap.Meta.Seq, snap.Meta.Stage)
-			return engine, coord, nil
-		}
-	}
-	engine := adversary.New(valency.New(opts))
-	coord := checkpoint.NewCoordinator(store, cfg.every, meta, scope)
-	engine.SetCheckpointer(coord)
 	return engine, coord, nil
 }
 
@@ -135,8 +115,8 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	}
 	attacks := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
-		{consensus.DiskRace{}, explore.Options{KeyFn: consensus.DiskRace{}.CanonicalKey, KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 2},
-		{consensus.DiskRace{}, explore.Options{KeyFn: consensus.DiskRace{}.CanonicalKey, KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
+		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 2},
+		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
 	}
 	for _, a := range attacks {
 		a.opts.Obs = scope
@@ -190,7 +170,7 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	props := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
 		{consensus.Flood{}, explore.Options{}, 3},
-		{consensus.DiskRace{}, explore.Options{KeyFn: consensus.DiskRace{}.CanonicalKey, KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
+		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
 	}
 	for _, a := range props {
 		a.opts.Obs = scope

@@ -80,7 +80,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"time"
@@ -89,12 +88,10 @@ import (
 	"repro/internal/check"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
-	"repro/internal/valency"
 )
 
 // errVerifyFailed tags a witness that completed but failed the independent
@@ -241,9 +238,13 @@ func run() error {
 		defer cancel()
 	}
 
-	engine, coord, err := buildEngine(opts, scope, *protocol, *n, *ckptDir, *ckptEvery, *resume)
+	engine, coord, snap, err := adversary.Open(opts, *protocol, *n, *ckptDir, *ckptEvery, *resume, scope)
 	if err != nil {
-		return err
+		return fmt.Errorf("checkpoint dir %s: %w", *ckptDir, err)
+	}
+	if snap != nil {
+		fmt.Fprintf(os.Stderr, "spacebound: resuming from snapshot %d, stage %q (%d memoised verdicts, in-flight query depth %d)\n",
+			snap.Meta.Seq, snap.Meta.Stage, snap.MemoVerdicts(), snap.QueryDepth())
 	}
 	w, err := engine.Theorem1(ctx, m, *n)
 	if err != nil {
@@ -288,58 +289,4 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "spacebound: witness verified by independent replay")
 	return nil
-}
-
-// buildEngine constructs a fresh or resumed adversary engine plus the
-// coordinator that snapshots it. With no -checkpoint-dir both the
-// coordinator and the returned engine's checkpointer are nil-safe no-ops.
-func buildEngine(opts explore.Options, scope *obs.Scope, protocol string, n int, dir string, every time.Duration, resume bool) (*adversary.Engine, *checkpoint.Coordinator, error) {
-	if dir == "" {
-		return adversary.New(valency.New(opts)), nil, nil
-	}
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta := checkpoint.Meta{Protocol: protocol, N: n, MaxConfigs: opts.MaxConfigs, FPVersion: explore.FingerprintVersion}
-	if !resume {
-		engine := adversary.New(valency.New(opts))
-		coord := checkpoint.NewCoordinator(store, every, meta, scope)
-		engine.SetCheckpointer(coord)
-		return engine, coord, nil
-	}
-	snap, err := store.Latest()
-	if err != nil {
-		return nil, nil, fmt.Errorf("resume: %w", err)
-	}
-	if snap.Meta.Protocol != protocol || snap.Meta.N != n || snap.Meta.MaxConfigs != opts.MaxConfigs {
-		return nil, nil, fmt.Errorf("resume: snapshot is for %s n=%d max-configs=%d, flags say %s n=%d max-configs=%d",
-			snap.Meta.Protocol, snap.Meta.N, snap.Meta.MaxConfigs, protocol, n, opts.MaxConfigs)
-	}
-	if snap.Meta.FPVersion != explore.FingerprintVersion {
-		return nil, nil, fmt.Errorf("resume: snapshot fingerprints are hash v%d, this build uses v%d",
-			snap.Meta.FPVersion, explore.FingerprintVersion)
-	}
-	engine, err := adversary.ResumeEngine(opts, snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	coord := checkpoint.NewCoordinator(store, every, snap.Meta, scope)
-	engine.SetCheckpointer(coord)
-	queryDepth := -1
-	if snap.Query != nil {
-		queryDepth = snap.Query.Depth
-	}
-	verdicts := 0
-	if snap.Memo != nil {
-		verdicts = len(snap.Memo.Verdicts)
-	}
-	scope.Event("checkpoint_resume",
-		slog.Uint64("seq", snap.Meta.Seq),
-		slog.String("stage", snap.Meta.Stage),
-		slog.Int("memo_verdicts", verdicts),
-		slog.Int("query_depth", queryDepth))
-	fmt.Fprintf(os.Stderr, "spacebound: resuming from snapshot %d, stage %q (%d memoised verdicts, in-flight query depth %d)\n",
-		snap.Meta.Seq, snap.Meta.Stage, verdicts, queryDepth)
-	return engine, coord, nil
 }

@@ -16,7 +16,6 @@ func newEngine(opts explore.Options) *Engine {
 
 func diskEngine() *Engine {
 	return newEngine(explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 	})
 }

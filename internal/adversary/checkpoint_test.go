@@ -54,7 +54,6 @@ func viewOf(w *Theorem1Witness) witnessView {
 func TestTheorem1CrashResumeDeterministic(t *testing.T) {
 	opts := explore.Options{
 		Workers: 1,
-		KeyFn:   consensus.DiskRace{}.CanonicalKey,
 		KeyTo:   consensus.DiskRace{}.CanonicalKeyTo,
 	}
 	meta := checkpoint.Meta{Protocol: "diskrace", N: 3, MaxConfigs: opts.MaxConfigs}

@@ -48,7 +48,6 @@ func TestTheorem1N4Traced(t *testing.T) {
 	defer srv.Close()
 
 	opts := explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 		Obs:   scope,
 	}

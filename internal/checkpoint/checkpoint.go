@@ -18,10 +18,15 @@
 //     sector) falls back to the one before it instead of failing the run.
 //
 // The package is deliberately dependency-light (standard library,
-// internal/obs for counters and internal/faults for the File its writes go
-// through): internal/explore and internal/valency import it, not the other
-// way round, so the snapshot schema speaks in plain integers and strings
-// and the owning packages convert to their own types.
+// internal/model for moves, internal/obs for counters and internal/faults
+// for the File its writes go through): internal/explore and
+// internal/valency import it, not the other way round. The schema types
+// are the engine's own records — explore fills and reads QueryData
+// directly, valency's memo paths are model.Move slices — so nothing is
+// copied field by field on the way to or from disk.
+//
+// A snapshot resumes only the run it was written by: Meta.Check is the one
+// compatibility rule, and adversary.Open is the one place that applies it.
 //
 // log.go holds every durable-file policy the repository uses — atomic
 // publish, the append-only Log, keep-N pruning — for the snapshot store,

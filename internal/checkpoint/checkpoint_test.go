@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -25,11 +28,11 @@ func sampleSnapshot(seq uint64) *Snapshot {
 		Memo: &MemoData{
 			Verdicts: []VerdictRec{
 				{FP: [2]uint64{1, 2}, Pids: 0b011, Values: []string{"0", "1"},
-					Witness: [][]Move{{{Pid: 0, Coin: ""}}, {{Pid: 1, Coin: "H"}, {Pid: 0, Coin: ""}}}},
-				{FP: [2]uint64{3, 4}, Pids: 0b111, Values: []string{"1"}, Witness: [][]Move{nil}},
+					Witness: [][]model.Move{{{Pid: 0, Coin: ""}}, {{Pid: 1, Coin: "H"}, {Pid: 0, Coin: ""}}}},
+				{FP: [2]uint64{3, 4}, Pids: 0b111, Values: []string{"1"}, Witness: [][]model.Move{nil}},
 			},
 			Solo: []SoloRec{
-				{FP: [2]uint64{5, 6}, Pid: 2, Val: "1", Path: []Move{{Pid: 2}}},
+				{FP: [2]uint64{5, 6}, Pid: 2, Val: "1", Path: []model.Move{{Pid: 2}}},
 				{FP: [2]uint64{7, 8}, Pid: 0, Err: "solo run cycles"},
 			},
 		},
@@ -38,9 +41,9 @@ func sampleSnapshot(seq uint64) *Snapshot {
 			Depth: 3, Count: 4, Steps: 17, PeakFrontier: 3,
 			Nodes: []Node{
 				{Parent: 0, Depth: 0},
-				{Parent: 0, Depth: 1, Move: Move{Pid: 0}},
-				{Parent: 0, Depth: 1, Move: Move{Pid: 2, Coin: "T"}},
-				{Parent: 1, Depth: 2, Move: Move{Pid: 2}},
+				{Parent: 0, Depth: 1, Move: model.Move{Pid: 0}},
+				{Parent: 0, Depth: 1, Move: model.Move{Pid: 2, Coin: "T"}},
+				{Parent: 1, Depth: 2, Move: model.Move{Pid: 2}},
 			},
 			Frontier:     []int{2, 3},
 			Fingerprints: [][2]uint64{{11, 12}, {13, 14}},
@@ -145,6 +148,51 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, s) {
 			t.Fatalf("roundtrip mismatch: %+v vs %+v", got, s)
+		}
+	}
+}
+
+// sampleSnapshotSHA256 is the sha256 of sampleSnapshot(7)'s segment bytes
+// in the current snapshot format. Any schema or encoding change that
+// alters a byte breaks resume of snapshots already on disk, so this pin
+// must only move together with a deliberate format migration.
+const sampleSnapshotSHA256 = "7624ec312c6ab3e2f7223d36fb871576cfb20dbc6a41f53c94b56e65f8f78cfb"
+
+// TestSnapshotBytesPinned holds the on-disk snapshot format fixed: meta,
+// memo and in-flight query sections encode to the pinned bytes.
+func TestSnapshotBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range sampleSnapshot(7).encodeRecords() {
+		if err := sw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != sampleSnapshotSHA256 {
+		t.Fatalf("snapshot segment sha256 = %s, want %s (%d bytes)", got, sampleSnapshotSHA256, buf.Len())
+	}
+}
+
+// TestMetaCheck names every identifying field a stale snapshot gets wrong
+// and ignores the per-save fields.
+func TestMetaCheck(t *testing.T) {
+	live := Meta{Protocol: "diskrace", N: 4, MaxConfigs: 0, FPVersion: 2}
+	same := live
+	same.Stage, same.Seq, same.WrittenUnixNano = "lemma 1", 9, 123
+	if err := same.Check(live); err != nil {
+		t.Fatalf("matching snapshot rejected: %v", err)
+	}
+	stale := Meta{Protocol: "flood", N: 3, MaxConfigs: 99, FPVersion: 1, Seq: 5}
+	err := stale.Check(live)
+	if !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("stale snapshot: err = %v, want ErrStaleSnapshot", err)
+	}
+	for _, field := range []string{`protocol "flood"`, "n=3", "max-configs=99", "fingerprint v1"} {
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("stale snapshot error %q does not name %s", err, field)
 		}
 	}
 }

@@ -54,7 +54,8 @@ var SaveLatencyBoundsMicros = []int64{500, 1000, 5000, 10000, 50000, 100000, 500
 // NewCoordinator returns a coordinator saving to store at most once per
 // `every` (every <= 0 means: on every opportunity, which only tests want).
 // meta identifies the run; its Seq field is the sequence to continue from
-// (0 for a fresh run, the loaded snapshot's Seq on resume).
+// (the store's NewestSeq for a fresh run, the loaded snapshot's Seq on
+// resume — adversary.Open sets both).
 func NewCoordinator(store *Store, every time.Duration, meta Meta, scope *obs.Scope) *Coordinator {
 	return &Coordinator{
 		store:  store,

@@ -1,9 +1,17 @@
 package checkpoint
 
-// The snapshot schema. Everything is expressed in plain integers and
-// strings so this package stays import-free of the engine packages; the
-// owners of the real types (internal/valency for memo entries,
-// internal/explore for frontiers) convert at their boundary.
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"repro/internal/model"
+)
+
+// The snapshot schema. Paths and moves are model.Move values and the
+// in-flight search is one QueryData record that internal/explore fills and
+// reads directly; only fingerprints stay plain [2]uint64 pairs, since
+// internal/explore (which names them) imports this package.
 
 // Section tags: the first byte of every record in a snapshot segment.
 const (
@@ -22,18 +30,14 @@ const (
 	maxValueList = 1 << 8
 )
 
-// Move is one step of an execution path: a process id plus the coin
-// outcome observed, empty for deterministic steps (the plain twin of
-// model.Move).
-type Move struct {
-	Pid  int
-	Coin string
-}
+// ErrStaleSnapshot is returned (wrapped) by Meta.Check when a snapshot
+// belongs to a different run than the live one.
+var ErrStaleSnapshot = errors.New("checkpoint: snapshot belongs to a different run")
 
 // Meta identifies a snapshot and the run it belongs to. Resume refuses a
-// snapshot whose Protocol, N or MaxConfigs disagree with the live run:
-// fingerprints only mean the same canonical keys under identical
-// exploration options.
+// snapshot whose Protocol, N, MaxConfigs or FPVersion disagree with the
+// live run (Check): fingerprints only mean the same canonical keys under
+// identical exploration options and hash function.
 type Meta struct {
 	// Protocol and N identify the construction.
 	Protocol string
@@ -57,6 +61,29 @@ type Meta struct {
 	FPVersion int
 }
 
+// Check reports whether a snapshot with meta m can resume the live run: nil
+// when it can, otherwise an error wrapping ErrStaleSnapshot that names every
+// identifying field that differs.
+func (m Meta) Check(live Meta) error {
+	var diffs []string
+	if m.Protocol != live.Protocol {
+		diffs = append(diffs, fmt.Sprintf("protocol %q, run %q", m.Protocol, live.Protocol))
+	}
+	if m.N != live.N {
+		diffs = append(diffs, fmt.Sprintf("n=%d, run n=%d", m.N, live.N))
+	}
+	if m.MaxConfigs != live.MaxConfigs {
+		diffs = append(diffs, fmt.Sprintf("max-configs=%d, run max-configs=%d", m.MaxConfigs, live.MaxConfigs))
+	}
+	if m.FPVersion != live.FPVersion {
+		diffs = append(diffs, fmt.Sprintf("fingerprint v%d, run v%d", m.FPVersion, live.FPVersion))
+	}
+	if diffs == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: snapshot %d has %s", ErrStaleSnapshot, m.Seq, strings.Join(diffs, "; "))
+}
+
 // VerdictRec is one memoised valency verdict: the decidable value set of
 // one (configuration fingerprint, process set) query, with one witness path
 // per decidable value.
@@ -64,7 +91,7 @@ type VerdictRec struct {
 	FP      [2]uint64
 	Pids    uint64
 	Values  []string
-	Witness [][]Move // aligned with Values
+	Witness [][]model.Move // aligned with Values
 }
 
 // SoloRec is one memoised solo-termination answer: either a deciding path
@@ -74,7 +101,7 @@ type SoloRec struct {
 	Pid  int
 	Err  string
 	Val  string
-	Path []Move
+	Path []model.Move
 }
 
 // MemoData is the exported valency memo.
@@ -84,11 +111,11 @@ type MemoData struct {
 }
 
 // Node is one retained exploration node: parent id, BFS depth and the
-// connecting move (the plain twin of explore's node record).
+// connecting move.
 type Node struct {
 	Parent int
 	Depth  int
-	Move   Move
+	Move   model.Move
 }
 
 // Found is one consensus value discovered by the in-flight search, with
@@ -100,6 +127,9 @@ type Found struct {
 
 // QueryData freezes one in-flight exhaustive valency query at a BFS level
 // boundary: enough to re-enter the search at that level instead of level 0.
+// explore.Snapshotter.Data fills the search fields and
+// explore.Options.ResumeFrom reads them back; internal/valency adds the
+// query key (FP, Pids, MaxConfigs) and Found.
 type QueryData struct {
 	// FP and Pids key the query exactly as the valency memo does;
 	// MaxConfigs is the effective cap of this particular search (probe
@@ -129,6 +159,22 @@ type Snapshot struct {
 	Meta  Meta
 	Memo  *MemoData
 	Query *QueryData
+}
+
+// MemoVerdicts is the number of memoised verdicts the snapshot carries.
+func (s *Snapshot) MemoVerdicts() int {
+	if s.Memo == nil {
+		return 0
+	}
+	return len(s.Memo.Verdicts)
+}
+
+// QueryDepth is the BFS depth of the in-flight query, -1 without one.
+func (s *Snapshot) QueryDepth() int {
+	if s.Query == nil {
+		return -1
+	}
+	return s.Query.Depth
 }
 
 // encodeRecords serialises the snapshot into segment records.
@@ -221,30 +267,30 @@ func decodeMeta(body []byte) (*Meta, error) {
 	return m, nil
 }
 
-func encodeMove(e *enc, m Move) {
+func encodeMove(e *enc, m model.Move) {
 	e.int(m.Pid)
-	e.str(m.Coin)
+	e.str(string(m.Coin))
 }
 
-func decodeMove(d *dec) Move {
-	return Move{Pid: d.intn("move pid", maxCount), Coin: d.str("move coin", maxStrLen)}
+func decodeMove(d *dec) model.Move {
+	return model.Move{Pid: d.intn("move pid", maxCount), Coin: model.Value(d.str("move coin", maxStrLen))}
 }
 
-func encodePath(e *enc, p []Move) {
+func encodePath(e *enc, p []model.Move) {
 	e.int(len(p))
 	for _, m := range p {
 		encodeMove(e, m)
 	}
 }
 
-func decodePath(d *dec) []Move {
+func decodePath(d *dec) []model.Move {
 	n := d.intn("path length", maxPathLen)
 	if d.err != nil || n == 0 {
 		// nil for the empty path, so encode/decode roundtrips preserve
 		// deep equality (the encoding cannot tell nil from empty).
 		return nil
 	}
-	p := make([]Move, 0, min(n, 1024))
+	p := make([]model.Move, 0, min(n, 1024))
 	for i := 0; i < n && d.err == nil; i++ {
 		p = append(p, decodeMove(d))
 	}

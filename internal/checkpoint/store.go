@@ -54,6 +54,18 @@ func (s *Store) Save(snap *Snapshot) (int64, error) {
 	return n, nil
 }
 
+// NewestSeq returns the highest snapshot sequence number on disk, whether
+// or not that file loads (0 for an empty store). A fresh run continues
+// after it, so Save's pruning never takes the run's own new snapshots for
+// older than files it found.
+func (s *Store) NewestSeq() uint64 {
+	seqs := snapFiles.List(s.dir)
+	if len(seqs) == 0 {
+		return 0
+	}
+	return seqs[len(seqs)-1]
+}
+
 // Latest loads the newest snapshot that passes every integrity check,
 // skipping (and reporting via the skipped list) corrupt files. It returns
 // ErrNoCheckpoint when nothing loads.

@@ -22,7 +22,7 @@ func walkDiskRace(t *testing.T, n int, limit int, check func(model.Config)) {
 	for i := range pids {
 		pids[i] = i
 	}
-	opts := explore.Options{KeyFn: DiskRace{}.CanonicalKey, MaxConfigs: limit}
+	opts := explore.Options{KeyTo: DiskRace{}.CanonicalKeyTo, MaxConfigs: limit}
 	seen := 0
 	_, err := explore.Reach(context.Background(), c, pids, opts, func(v explore.Visit) bool {
 		check(v.Config)

@@ -47,7 +47,6 @@ func Machine(name string) (model.Machine, explore.Options, error) {
 	switch name {
 	case ProtocolDiskRace:
 		return consensus.DiskRace{}, explore.Options{
-			KeyFn: consensus.DiskRace{}.CanonicalKey,
 			KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 		}, nil
 	case ProtocolFlood:

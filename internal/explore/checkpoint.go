@@ -3,43 +3,19 @@ package explore
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/model"
 )
 
 // Checkpoint/resume for an in-flight search. A search is frozen only at a
 // BFS level boundary — the one point where the whole state is three plain
 // structures (node forest, visited fingerprints, frontier ids) and no
-// worker holds anything in flight. Configurations are never serialised:
-// the frontier is stored as node ids and rebuilt on resume by replaying
-// each node's witness path from the root, which keeps the format
+// worker holds anything in flight. Snapshotter.Data writes them straight
+// into the checkpoint package's QueryData, the record snapshots persist,
+// and Options.ResumeFrom reads that record back. Configurations are never
+// serialised: the frontier is stored as node ids and rebuilt on resume by
+// replaying each node's witness path from the root, which keeps the format
 // protocol-independent.
-
-// CheckpointNode is the exported twin of the retained node record: parent
-// id, BFS depth and the connecting move.
-type CheckpointNode struct {
-	Parent int32
-	Depth  int32
-	Via    model.Move
-}
-
-// LevelCheckpoint freezes a Reach search at a BFS level boundary: the
-// frontier at Depth is about to be expanded, everything shallower has been
-// visited. Produced by Snapshotter.Data, consumed by Options.ResumeFrom.
-type LevelCheckpoint struct {
-	// Depth is the BFS depth of the frontier below.
-	Depth int
-	// Count, Steps and PeakFrontier restore the Result counters.
-	Count        int
-	Steps        int
-	PeakFrontier int
-	// Nodes is the full parent/move forest of every visited configuration;
-	// witness paths replay from it.
-	Nodes []CheckpointNode
-	// Frontier lists the node ids awaiting expansion, in visit order.
-	Frontier []int32
-	// Fingerprints is the visited set.
-	Fingerprints []Fingerprint
-}
 
 // Snapshotter hands the Options.Snapshot hook access to the frozen search.
 // Materialising the state costs a full copy of the node forest and visited
@@ -58,24 +34,28 @@ func (sn *Snapshotter) Depth() int { return sn.depth }
 // Count reports the configurations visited so far.
 func (sn *Snapshotter) Count() int { return sn.res.Count }
 
-// Data materialises the frozen search state. The error is non-nil only
-// when a spilled frontier chunk cannot be read back.
-func (sn *Snapshotter) Data() (*LevelCheckpoint, error) {
+// Data materialises the frozen search state: the search fields of a
+// checkpoint.QueryData, leaving the query key and Found to the caller. The
+// error is non-nil only when a spilled frontier chunk cannot be read back.
+func (sn *Snapshotter) Data() (*checkpoint.QueryData, error) {
 	frontierIDs, err := sn.level.allIDs()
 	if err != nil {
 		return nil, err
 	}
-	cp := &LevelCheckpoint{
+	cp := &checkpoint.QueryData{
 		Depth:        sn.depth,
 		Count:        sn.res.Count,
 		Steps:        sn.res.Steps,
 		PeakFrontier: sn.res.PeakFrontier,
-		Frontier:     frontierIDs,
+		Nodes:        make([]checkpoint.Node, len(sn.res.nodes)),
+		Frontier:     make([]int, len(frontierIDs)),
 		Fingerprints: sn.s.visited.dump(),
-		Nodes:        make([]CheckpointNode, len(sn.res.nodes)),
 	}
 	for i, n := range sn.res.nodes {
-		cp.Nodes[i] = CheckpointNode{Parent: n.parent, Depth: n.depth, Via: model.UnpackMove(n.via)}
+		cp.Nodes[i] = checkpoint.Node{Parent: int(n.parent), Depth: int(n.depth), Move: model.UnpackMove(n.via)}
+	}
+	for i, id := range frontierIDs {
+		cp.Frontier[i] = int(id)
 	}
 	return cp, nil
 }
@@ -85,7 +65,7 @@ func (sn *Snapshotter) Data() (*LevelCheckpoint, error) {
 // frontier by replaying each stored id's path from the root configuration.
 // Already-visited configurations are not re-visited — the caller restored
 // whatever it learned from them alongside the checkpoint.
-func (s *search) restore(cp *LevelCheckpoint, res *Result, level *frontier, root model.Config) error {
+func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier, root model.Config) error {
 	if cp.Count != len(cp.Nodes) {
 		return fmt.Errorf("explore: resume count %d != %d nodes", cp.Count, len(cp.Nodes))
 	}
@@ -94,30 +74,30 @@ func (s *search) restore(cp *LevelCheckpoint, res *Result, level *frontier, root
 	}
 	res.nodes = make([]node, len(cp.Nodes))
 	for i, n := range cp.Nodes {
-		via, err := model.PackMove(n.Via)
+		via, err := model.PackMove(n.Move)
 		if err != nil {
 			return fmt.Errorf("explore: resume node %d: %w", i, err)
 		}
-		res.nodes[i] = node{parent: n.Parent, depth: n.Depth, via: via}
+		res.nodes[i] = node{parent: int32(n.Parent), depth: int32(n.Depth), via: via}
 	}
 	res.Count = cp.Count
 	res.Steps = cp.Steps
 	res.PeakFrontier = cp.PeakFrontier
 	res.Depth = cp.Depth
 	for _, fp := range cp.Fingerprints {
-		s.visited.Add(fp)
+		s.visited.Add(Fingerprint(fp))
 	}
 	level.ids = make([]int32, 0, len(cp.Frontier))
 	level.words = make([]uint64, len(cp.Frontier)*s.stride)
 	for i, id := range cp.Frontier {
-		cfg, err := replayTo(res, root, int(id))
+		cfg, err := replayTo(res, root, id)
 		if err != nil {
 			return fmt.Errorf("explore: resume frontier: %w", err)
 		}
 		if err := s.codec.PackTo(level.words[i*s.stride:(i+1)*s.stride], cfg); err != nil {
 			return fmt.Errorf("explore: resume frontier: %w", err)
 		}
-		level.ids = append(level.ids, id)
+		level.ids = append(level.ids, int32(id))
 	}
 	return nil
 }

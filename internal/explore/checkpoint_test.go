@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/model"
 )
 
@@ -54,7 +55,7 @@ func TestReachSnapshotResumeEquivalent(t *testing.T) {
 
 	fullRes, fullVisits := collectVisits(t, c, p, opts)
 
-	var cp *LevelCheckpoint
+	var cp *checkpoint.QueryData
 	snapOpts := opts
 	snapOpts.Snapshot = func(sn *Snapshotter) {
 		if cp == nil && sn.Depth() == 2 {
@@ -141,7 +142,7 @@ func TestReachSpillSnapshotResume(t *testing.T) {
 	base := Options{Workers: 1}
 	fullRes, fullVisits := collectVisits(t, c, p, base)
 
-	var cp *LevelCheckpoint
+	var cp *checkpoint.QueryData
 	spillOpts := base
 	spillOpts.SpillDir = t.TempDir()
 	spillOpts.SpillBudget = 1
@@ -188,7 +189,7 @@ func TestResultDepthReported(t *testing.T) {
 // TestRestoreRejectsInconsistentCheckpoint exercises restore's validation.
 func TestRestoreRejectsInconsistentCheckpoint(t *testing.T) {
 	c := model.NewConfig(chainMachine{}, []model.Value{"2", "2"})
-	bad := &LevelCheckpoint{Depth: 1, Count: 5, Nodes: []CheckpointNode{{}}}
+	bad := &checkpoint.QueryData{Depth: 1, Count: 5, Nodes: []checkpoint.Node{{}}}
 	if _, err := Reach(context.Background(), c, []int{0, 1}, Options{ResumeFrom: bad}, nil); err == nil {
 		t.Fatal("resume from inconsistent checkpoint succeeded")
 	}

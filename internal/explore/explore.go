@@ -6,7 +6,7 @@
 // The paper's arguments quantify over "P-only executions from C". For the
 // protocols this repository attacks, the set of configurations reachable by
 // P-only executions is finite modulo the protocol's canonicalisation (see
-// Options.KeyFn), so breadth-first search decides those quantifiers
+// Options.KeyTo), so breadth-first search decides those quantifiers
 // exactly. Caps guard against unbounded spaces: when a cap binds, the
 // search reports it explicitly instead of silently returning partial truth.
 //
@@ -40,6 +40,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -61,22 +62,18 @@ type Options struct {
 	MaxConfigs int
 	// MaxDepth caps the BFS depth (schedule length). Zero means no cap.
 	MaxDepth int
-	// KeyFn, when non-nil, replaces Config.Key as the state identity used
-	// for deduplication. Protocols with unbounded-but-symmetric state
-	// (e.g. DiskRace's ballots) supply a canonicalising key that quotients
-	// the space by a bisimulation, making exhaustive search terminate.
-	// The function must identify only behaviourally equivalent
-	// configurations; consensus.TestDiskRaceCanonicalBisimulation is the
-	// guard for the one canonicaliser this repository ships.
-	KeyFn func(model.Config) string
-	// KeyTo, when non-nil, streams the same identity as KeyFn (or
-	// Config.Key when KeyFn is nil) into w without materialising a
-	// string; the hot path prefers it. The two forms must agree byte for
-	// byte — the string form stays the reference implementation, and
-	// TestStreamingKeysMatchStringKeys cross-checks them. A KeyTo must be
-	// safe for concurrent use from multiple workers (stream into w only;
-	// any internal scratch must be pooled, as consensus.CanonicalKeyTo
-	// does).
+	// KeyTo, when non-nil, replaces Config.KeyTo as the state identity
+	// used for deduplication, streamed into w without materialising a
+	// string. Protocols with unbounded-but-symmetric state (e.g.
+	// DiskRace's ballots) supply a canonicalising key that quotients the
+	// space by a bisimulation, making exhaustive search terminate. The
+	// function must identify only behaviourally equivalent configurations;
+	// consensus.TestDiskRaceCanonicalBisimulation is the guard for the one
+	// canonicaliser this repository ships, and
+	// consensus.TestCanonicalKeyToMatchesCanonicalKey holds it to its
+	// string reference form. A KeyTo must be safe for concurrent use from
+	// multiple workers (stream into w only; any internal scratch must be
+	// pooled, as consensus.CanonicalKeyTo does).
 	KeyTo func(w model.KeyWriter, c model.Config)
 	// Workers is the number of frontier-expansion workers. Zero means
 	// GOMAXPROCS; 1 forces single-threaded expansion. Worker count never
@@ -100,7 +97,7 @@ type Options struct {
 	// The options must otherwise match the checkpointed run's — resuming
 	// under a different key function or cap is unsound, and the caller
 	// (internal/valency) enforces that match.
-	ResumeFrom *LevelCheckpoint
+	ResumeFrom *checkpoint.QueryData
 	// SpillDir, with a positive SpillBudget, enables the frontier spill
 	// governor: when the accumulating next level exceeds SpillBudget bytes
 	// of packed frontier records, cold chunks are flushed to files under

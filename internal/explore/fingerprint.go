@@ -131,17 +131,13 @@ func newHasher() *hasher {
 	return &hasher{}
 }
 
-// / fingerprint digests c's canonical key under opts. Preference order:
-// KeyTo (pure streaming), then KeyFn (string materialised, then hashed —
-// still correct, just slower), then Config.KeyTo.
+// fingerprint digests c's canonical key under opts: streamed by
+// opts.KeyTo when set, by Config.KeyTo otherwise.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
 	hs.kb.Reset()
-	switch {
-	case opts.KeyTo != nil:
+	if opts.KeyTo != nil {
 		opts.KeyTo(&hs.kb, c)
-	case opts.KeyFn != nil:
-		_, _ = hs.kb.WriteString(opts.KeyFn(c))
-	default:
+	} else {
 		c.KeyTo(&hs.kb)
 	}
 	return mix128(hs.kb.Bytes())
@@ -339,13 +335,13 @@ func (s *fpSet) stats(maxPerShard int, h *obs.Histogram) (n, slots int) {
 // is unordered, so checkpoint files may differ between runs even when the
 // resumed results do not). Called at level boundaries, when no worker holds
 // a shard.
-func (s *fpSet) dump() []Fingerprint {
-	out := make([]Fingerprint, 0, s.Len())
+func (s *fpSet) dump() [][2]uint64 {
+	out := make([][2]uint64, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if sh.zero {
-			out = append(out, Fingerprint{})
+			out = append(out, [2]uint64{})
 		}
 		for _, fp := range sh.tbl {
 			if fp != (Fingerprint{}) {

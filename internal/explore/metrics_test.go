@@ -25,7 +25,6 @@ func TestReachPackedObservedAllocBound(t *testing.T) {
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	opts := Options{
-		KeyFn:      disk.CanonicalKey,
 		KeyTo:      disk.CanonicalKeyTo,
 		MaxConfigs: 20_000,
 		Workers:    1,

@@ -11,13 +11,16 @@ import (
 // them: each is the plainest possible form of what the engine computes
 // fast.
 
-// ConfigKey returns the state identity of c under these options, in its
-// string reference form.
+// ConfigKey returns the state identity of c under these options as a
+// string: KeyTo streamed into a model.KeyBuilder when set, the Config.Key
+// reference form otherwise.
 func (o Options) ConfigKey(c model.Config) string {
-	if o.KeyFn != nil {
-		return o.KeyFn(c)
+	if o.KeyTo == nil {
+		return c.Key()
 	}
-	return c.Key()
+	var kb model.KeyBuilder
+	o.KeyTo(&kb, c)
+	return kb.String()
 }
 
 // fingerprintOf digests an already-materialised key string. It is the

@@ -19,8 +19,8 @@ const (
 // canonicalisers) remain the reference implementations, and the explore
 // package cross-checks the two in its tests.
 //
-// The contract for any key-producing function (a KeyFn, a KeyTo, a state's
-// Key): equal byte streams must imply behaviourally equivalent
+// The contract for any key-producing function (an explore KeyTo, a
+// canonicaliser's string form, a state's Key): equal byte streams must imply behaviourally equivalent
 // configurations, and behaviourally distinct configurations must produce
 // distinct streams. Dedup soundness in the exploration engine rests
 // entirely on this property.

@@ -21,13 +21,11 @@ import (
 	"repro/internal/check"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/ledger"
 	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/trace"
-	"repro/internal/valency"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -679,33 +677,18 @@ func (s *Server) runJob(ctx context.Context, j *job) error {
 	}
 	opts.Obs = scope
 
-	store, err := checkpoint.Open(filepath.Join(j.dir, "ckpt"))
-	if err != nil {
+	// A job always tries to resume (a retry continues its last attempt);
+	// no snapshot, or one from a stale spec, means a fresh construction.
+	engine, coord, snap, err := adversary.Open(opts, spec.Protocol, spec.N, filepath.Join(j.dir, "ckpt"), s.opts.CheckpointEvery, true, scope)
+	if err != nil && !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		return err
 	}
-	meta := checkpoint.Meta{Protocol: spec.Protocol, N: spec.N, MaxConfigs: opts.MaxConfigs, FPVersion: explore.FingerprintVersion}
-	var engine *adversary.Engine
-	snap, err := store.Latest()
-	switch {
-	case err == nil && snap.Meta.Protocol == spec.Protocol && snap.Meta.N == spec.N &&
-		snap.Meta.MaxConfigs == opts.MaxConfigs && snap.Meta.FPVersion == explore.FingerprintVersion:
-		engine, err = adversary.ResumeEngine(opts, snap)
-		if err != nil {
-			return err
-		}
-		meta = snap.Meta
+	if snap != nil {
 		s.scope.Event("job_resumed",
 			slog.String("job", j.id),
 			slog.Uint64("snapshot_seq", snap.Meta.Seq),
 			slog.String("stage", snap.Meta.Stage))
-	case err == nil || errors.Is(err, checkpoint.ErrNoCheckpoint):
-		// No snapshot (or one from a stale spec): fresh construction.
-		engine = adversary.New(valency.New(opts))
-	default:
-		return err
 	}
-	coord := checkpoint.NewCoordinator(store, s.opts.CheckpointEvery, meta, scope)
-	engine.SetCheckpointer(coord)
 
 	w, err := engine.Theorem1(ctx, m, spec.N)
 	if err != nil {

@@ -22,7 +22,6 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 func goldenWitness(t *testing.T) *adversary.Theorem1Witness {
 	t.Helper()
 	engine := adversary.New(valency.New(explore.Options{
-		KeyFn:   consensus.DiskRace{}.CanonicalKey,
 		KeyTo:   consensus.DiskRace{}.CanonicalKeyTo,
 		Workers: 1,
 	}))

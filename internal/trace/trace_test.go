@@ -15,7 +15,6 @@ import (
 func witness(t *testing.T) (*adversary.Theorem1Witness, model.Config) {
 	t.Helper()
 	engine := adversary.New(valency.New(explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 	}))
 	w, err := engine.Theorem1(context.Background(), consensus.DiskRace{}, 3)

@@ -234,7 +234,7 @@ func (o *Oracle) exploreDecidable(ctx context.Context, key queryKey, c model.Con
 	}
 	if q := o.resume; q != nil && explore.Fingerprint(q.FP) == key.fp && q.Pids == key.pids && q.MaxConfigs == limit {
 		o.resume = nil
-		opts.ResumeFrom = restoreQueryData(q)
+		opts.ResumeFrom = q
 		for _, f := range q.Found {
 			val := model.Value(f.Value)
 			if !verdict.Decidable[val] {

@@ -10,7 +10,7 @@ import (
 )
 
 // Memo export/import and in-flight query resume: the bridge between the
-// oracle's typed state and the checkpoint package's plain-schema snapshots.
+// oracle's memo maps and the checkpoint package's snapshot records.
 //
 // The memo is the payload that makes resume fast-forward deterministic: a
 // resumed Theorem 1 construction re-runs from the top, every query answered
@@ -19,28 +19,6 @@ import (
 // it died without re-exploring anything. The optional in-flight QueryData
 // additionally re-enters the one search the crash interrupted at its last
 // completed BFS level instead of level 0.
-
-func pathToMoves(p model.Path) []checkpoint.Move {
-	if p == nil {
-		return nil
-	}
-	out := make([]checkpoint.Move, len(p))
-	for i, m := range p {
-		out[i] = checkpoint.Move{Pid: m.Pid, Coin: string(m.Coin)}
-	}
-	return out
-}
-
-func movesToPath(ms []checkpoint.Move) model.Path {
-	if ms == nil {
-		return nil
-	}
-	out := make(model.Path, len(ms))
-	for i, m := range ms {
-		out[i] = model.Move{Pid: m.Pid, Coin: model.Value(m.Coin)}
-	}
-	return out
-}
 
 // ExportMemo converts the memo tables to the checkpoint schema. Records
 // are emitted in sorted key order so identical memos serialise identically.
@@ -52,9 +30,9 @@ func ExportMemo(m *Memo) *checkpoint.MemoData {
 			rec.Values = append(rec.Values, string(val))
 		}
 		sort.Strings(rec.Values)
-		rec.Witness = make([][]checkpoint.Move, len(rec.Values))
+		rec.Witness = make([][]model.Move, len(rec.Values))
 		for i, val := range rec.Values {
-			rec.Witness[i] = pathToMoves(v.Witness[model.Value(val)])
+			rec.Witness[i] = v.Witness[model.Value(val)]
 		}
 		d.Verdicts = append(d.Verdicts, rec)
 	}
@@ -71,7 +49,7 @@ func ExportMemo(m *Memo) *checkpoint.MemoData {
 			Pid:  key.pid,
 			Err:  e.err,
 			Val:  string(e.val),
-			Path: pathToMoves(e.path),
+			Path: e.path,
 		})
 	}
 	sort.Slice(d.Solo, func(i, j int) bool {
@@ -99,13 +77,13 @@ func ImportMemo(d *checkpoint.MemoData) (*Memo, error) {
 		v := newVerdict()
 		for i, val := range rec.Values {
 			v.Decidable[model.Value(val)] = true
-			v.Witness[model.Value(val)] = movesToPath(rec.Witness[i])
+			v.Witness[model.Value(val)] = rec.Witness[i]
 		}
 		m.verdicts[queryKey{fp: explore.Fingerprint(rec.FP), pids: rec.Pids}] = v
 	}
 	for _, rec := range d.Solo {
 		m.solo[soloKey{fp: explore.Fingerprint(rec.FP), pid: rec.Pid}] = &soloEntry{
-			path: movesToPath(rec.Path),
+			path: rec.Path,
 			val:  model.Value(rec.Val),
 			err:  rec.Err,
 		}
@@ -140,64 +118,14 @@ func effectiveMax(opts explore.Options) int {
 	return opts.MaxConfigs
 }
 
-// buildQueryData freezes one one-candidate search for a snapshot.
-func buildQueryData(key queryKey, maxConfigs int, data *explore.LevelCheckpoint, witnessIDs map[model.Value]int) *checkpoint.QueryData {
-	q := &checkpoint.QueryData{
-		FP:           [2]uint64(key.fp),
-		Pids:         key.pids,
-		MaxConfigs:   maxConfigs,
-		Depth:        data.Depth,
-		Count:        data.Count,
-		Steps:        data.Steps,
-		PeakFrontier: data.PeakFrontier,
-		Nodes:        make([]checkpoint.Node, len(data.Nodes)),
-		Frontier:     make([]int, len(data.Frontier)),
-		Fingerprints: make([][2]uint64, len(data.Fingerprints)),
-	}
-	for i, n := range data.Nodes {
-		q.Nodes[i] = checkpoint.Node{
-			Parent: int(n.Parent),
-			Depth:  int(n.Depth),
-			Move:   checkpoint.Move{Pid: n.Via.Pid, Coin: string(n.Via.Coin)},
-		}
-	}
-	for i, id := range data.Frontier {
-		q.Frontier[i] = int(id)
-	}
-	for i, fp := range data.Fingerprints {
-		q.Fingerprints[i] = fp
-	}
+// buildQueryData completes a frozen one-candidate search for a snapshot:
+// data holds the search fields Snapshotter.Data filled, and the query key
+// and discovered values are stamped on it.
+func buildQueryData(key queryKey, maxConfigs int, data *checkpoint.QueryData, witnessIDs map[model.Value]int) *checkpoint.QueryData {
+	data.FP, data.Pids, data.MaxConfigs = key.fp, key.pids, maxConfigs
 	for val, id := range witnessIDs {
-		q.Found = append(q.Found, checkpoint.Found{Value: string(val), ID: id})
+		data.Found = append(data.Found, checkpoint.Found{Value: string(val), ID: id})
 	}
-	sort.Slice(q.Found, func(i, j int) bool { return q.Found[i].Value < q.Found[j].Value })
-	return q
-}
-
-// restoreQueryData converts a loaded in-flight query back into the explore
-// checkpoint form.
-func restoreQueryData(q *checkpoint.QueryData) *explore.LevelCheckpoint {
-	cp := &explore.LevelCheckpoint{
-		Depth:        q.Depth,
-		Count:        q.Count,
-		Steps:        q.Steps,
-		PeakFrontier: q.PeakFrontier,
-		Nodes:        make([]explore.CheckpointNode, len(q.Nodes)),
-		Frontier:     make([]int32, len(q.Frontier)),
-		Fingerprints: make([]explore.Fingerprint, len(q.Fingerprints)),
-	}
-	for i, n := range q.Nodes {
-		cp.Nodes[i] = explore.CheckpointNode{
-			Parent: int32(n.Parent),
-			Depth:  int32(n.Depth),
-			Via:    model.Move{Pid: n.Move.Pid, Coin: model.Value(n.Move.Coin)},
-		}
-	}
-	for i, id := range q.Frontier {
-		cp.Frontier[i] = int32(id)
-	}
-	for i, fp := range q.Fingerprints {
-		cp.Fingerprints[i] = explore.Fingerprint(fp)
-	}
-	return cp
+	sort.Slice(data.Found, func(i, j int) bool { return data.Found[i].Value < data.Found[j].Value })
+	return data
 }

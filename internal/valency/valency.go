@@ -196,14 +196,28 @@ func (v *Verdict) Univalent() (model.Value, bool) {
 	return model.Bottom, false
 }
 
-// Any returns some decidable value (Proposition 1(i) guarantees one exists
-// for correct protocols). The boolean is false for a protocol that can reach
-// a decision-free sink, which would itself violate solo termination.
+// Any returns a decidable value (Proposition 1(i) guarantees one exists
+// for correct protocols), deterministically: V0 when decidable, then V1,
+// then the least other value. Lemmas 1 and 3 steer the construction by it,
+// so a bivalent verdict must not pick by map order. The boolean is false
+// for a protocol that can reach a decision-free sink, which would itself
+// violate solo termination.
 func (v *Verdict) Any() (model.Value, bool) {
-	for val := range v.Decidable {
-		return val, true
+	switch {
+	case v.Decidable[V0]:
+		return V0, true
+	case v.Decidable[V1]:
+		return V1, true
+	case len(v.Decidable) == 0:
+		return model.Bottom, false
 	}
-	return model.Bottom, false
+	least, first := model.Bottom, true
+	for val := range v.Decidable {
+		if first || val < least {
+			least, first = val, false
+		}
+	}
+	return least, true
 }
 
 // New returns an oracle using the given exploration bounds, with a private

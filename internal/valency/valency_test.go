@@ -23,6 +23,28 @@ func TestOppositeValues(t *testing.T) {
 // TestDefinition1OnFlood pins the textbook facts at n=2: mixed inputs are
 // bivalent for the pair, each singleton is univalent for its own input
 // (Proposition 2), and unanimous inputs are univalent for everyone.
+// TestVerdictAnyDeterministic pins Verdict.Any's choice: V0 before V1,
+// then the least other value, never Go's randomised map order.
+func TestVerdictAnyDeterministic(t *testing.T) {
+	bivalent := &Verdict{Decidable: map[model.Value]bool{V1: true, V0: true, "2": true}}
+	for i := 0; i < 1000; i++ {
+		if got, ok := bivalent.Any(); !ok || got != V0 {
+			t.Fatalf("call %d: bivalent Any = %q, %t; want %q", i, got, ok, V0)
+		}
+	}
+	others := &Verdict{Decidable: map[model.Value]bool{"9": true, V1: true, "3": true}}
+	if got, _ := others.Any(); got != V1 {
+		t.Fatalf("Any = %q, want %q", got, V1)
+	}
+	delete(others.Decidable, V1)
+	if got, _ := others.Any(); got != "3" {
+		t.Fatalf("Any = %q, want the least value %q", got, "3")
+	}
+	if _, ok := (&Verdict{}).Any(); ok {
+		t.Fatal("Any on an empty verdict reported a value")
+	}
+}
+
 func TestDefinition1OnFlood(t *testing.T) {
 	o := New(explore.Options{})
 	mixed := floodConfig("0", "1")
@@ -197,7 +219,7 @@ func TestProfileFloodN2(t *testing.T) {
 // Decidable call per configuration, none for absorption.
 func TestProfileAbsorptionReusesVerdicts(t *testing.T) {
 	disk := consensus.DiskRace{}
-	o := New(explore.Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo})
+	o := New(explore.Options{KeyTo: disk.CanonicalKeyTo})
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	// Advance the pair deterministically before profiling: the landscape
 	// from the initial configuration is ~12k configurations (a minute of
