@@ -231,8 +231,8 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		if st.Gen < 1 {
 			return fmt.Errorf("restarted coordinator reports generation %d, want a post-recovery bump", st.Gen)
 		}
-		fmt.Fprintf(os.Stderr, "spacebound: chaos: coordinator back at level %d (%s phase), generation %d, outage %v\n",
-			st.Level, st.Phase, st.Gen, readyAt.Sub(killedAt).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "spacebound: chaos: coordinator back at level %d, generation %d, outage %v\n",
+			st.Level, st.Gen, readyAt.Sub(killedAt).Round(time.Millisecond))
 	}
 
 	// Collect every worker's verdict. Victims (scripted kills) must die by

@@ -15,7 +15,7 @@ import (
 // acceptance test: one chaos schedule SIGKILLs the coordinator mid-level AND
 // kills the worker holding every lease, on DiskRace n=4. The driver itself
 // asserts the hard conditions — the restarted coordinator resumes from the
-// journal at the exact level and phase, no healthy worker exits during the
+// journal at the exact level, no healthy worker exits during the
 // outage, the victim dies by signal, and the merged witness is byte-identical
 // to the sequential reference (sha256 sidecar included) — so the test runs
 // the real binary and requires exit 0 plus the transcript's key lines.

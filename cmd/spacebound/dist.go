@@ -105,8 +105,7 @@ func runCoordinator(df distFlags, protocol string, n int, scope *obs.Scope, witn
 			return fmt.Errorf("journal recovery: %w", err)
 		}
 		st := coord.Status()
-		fmt.Fprintf(os.Stderr, "spacebound: recovered to level %d (%s phase), generation %d\n",
-			st.Level, st.Phase, st.Gen)
+		fmt.Fprintf(os.Stderr, "spacebound: recovered to level %d, generation %d\n", st.Level, st.Gen)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -30,7 +30,7 @@
 // slice checkpoints, and retained exchange chunks are persisted to a
 // write-ahead journal plus periodic snapshots in that directory, and a
 // coordinator restarted over the same directory resumes the barrier at the
-// exact level and phase it died in (leases are not persisted — workers
+// exact level it died in (leases are not persisted — workers
 // re-acquire under a fenced new generation). -dist-journal-fault injects
 // filesystem faults into the journal's writes for testing; a faulted
 // journal degrades to memory-only operation rather than failing the run.

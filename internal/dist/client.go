@@ -228,29 +228,16 @@ func (cl *client) getChunk(ctx context.Context, level, from, to int, retried fun
 		level, from, to, clientAttempts, lastErr)
 }
 
-func (cl *client) postExpanded(ctx context.Context, slice, level int, steps int64) error {
+func (cl *client) postExpanded(ctx context.Context, slice, level int, m levelMark) error {
 	q := cl.workerQuery()
 	q.Set("slice", strconv.Itoa(slice))
 	q.Set("level", strconv.Itoa(level))
-	q.Set("steps", strconv.FormatInt(steps, 10))
+	q.Set("steps", strconv.FormatInt(m.Steps, 10))
+	q.Set("fresh", strconv.FormatInt(m.Fresh, 10))
+	q.Set("digest0", strconv.FormatUint(m.Digest[0], 16))
+	q.Set("digest1", strconv.FormatUint(m.Digest[1], 16))
 	_, _, err := cl.do(ctx, http.MethodPost, "/dist/expanded", q, nil)
 	return err
-}
-
-func (cl *client) postIngested(ctx context.Context, slice, level int, fresh int64, digest [2]uint64) error {
-	q := cl.workerQuery()
-	q.Set("slice", strconv.Itoa(slice))
-	q.Set("level", strconv.Itoa(level))
-	q.Set("fresh", strconv.FormatInt(fresh, 10))
-	q.Set("digest0", strconv.FormatUint(digest[0], 16))
-	q.Set("digest1", strconv.FormatUint(digest[1], 16))
-	_, _, err := cl.do(ctx, http.MethodPost, "/dist/ingested", q, nil)
-	return err
-}
-
-func (cl *client) getWitness(ctx context.Context) ([]byte, error) {
-	body, _, err := cl.do(ctx, http.MethodGet, "/dist/witness", nil, nil)
-	return body, err
 }
 
 // FetchSpec retrieves a coordinator's run description — what a shard

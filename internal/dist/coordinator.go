@@ -13,17 +13,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Phase names of the per-level two-phase barrier.
-const (
-	phaseExpand = "expand"
-	phaseIngest = "ingest"
-	phaseDone   = "done"
-)
-
 // sliceInfo is the coordinator's book-keeping for one fingerprint slice.
 type sliceInfo struct {
-	owner     string // worker id, "" while unowned
-	grantedAt time.Time
+	owner string // worker id, "" while unowned
 	// freeSince is when the slice was last revoked; zero if never. It
 	// starts the grant grace (see grantLocked).
 	freeSince time.Time
@@ -36,16 +28,24 @@ type sliceInfo struct {
 	everOwned bool
 	epoch     int
 
-	// Per-current-level barrier marks and stats. Posts are idempotent
-	// overwrites: a redone expansion or ingest produces the same
+	// The current level's barrier mark. A slice is marked only after its
+	// checkpoint and every chunk of the level landed, so a mark stays valid
+	// whoever owns the slice next: revocation and recovery both keep it.
+	// Posts are idempotent overwrites: a redone level produces the same
 	// deterministic values, so the last write is as good as the first.
 	expanded bool
-	ingested bool
-	steps    int64
-	fresh    int64
-	digest   explore.Fingerprint
+	mark     levelMark
 
 	reassigns int
+}
+
+// levelMark is what a slice's barrier mark carries: the transitions its
+// expansion of the level took, and the size and XOR digest of its frontier
+// at that depth.
+type levelMark struct {
+	Steps  int64
+	Fresh  int64
+	Digest explore.Fingerprint
 }
 
 // chunkKey addresses one exchange chunk.
@@ -91,8 +91,6 @@ type Coordinator struct {
 	// mid-level shows up as a fat tail, not a lost sample).
 	levelStart time.Time
 
-	reassignTotal int64
-
 	// Durability (S25). journal, when attached, records every accepted
 	// mutation; replaying makes the apply paths journal-silent while
 	// Recover feeds the WAL back through them. recovering gates the worker
@@ -114,10 +112,9 @@ type Coordinator struct {
 // in-memory test runs up to minutes for reassignment-delayed levels.
 var ExchangeLatencyBoundsMicros = []int64{1000, 5000, 10000, 50000, 100000, 500000, 1000000, 5000000, 30000000, 120000000}
 
-// NewCoordinator builds a coordinator for the run described by spec. root
-// and opts must describe the same exploration every worker will run; the
-// coordinator itself only ever fingerprints the root (level 0 is seeded
-// here, before any worker exists).
+// NewCoordinator builds a coordinator for the run described by spec.
+// rootFP names the explored space's root; the coordinator uses it only to
+// tell its own journal from another run's.
 func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*Coordinator, error) {
 	if spec.Slices < 1 {
 		return nil, fmt.Errorf("dist: %d slices", spec.Slices)
@@ -134,7 +131,6 @@ func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*C
 		scope:   scope,
 		workers: make(map[string]time.Time),
 		slices:  make([]sliceInfo, spec.Slices),
-		levels:  []LevelStat{{Fresh: 1, Digest: rootFP}},
 		chunks:  make(map[chunkKey][]byte),
 		doneCh:  make(chan struct{}),
 		changed: make(chan struct{}),
@@ -167,7 +163,7 @@ func (c *Coordinator) Witness() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.done {
-		return nil, fmt.Errorf("dist: run still at level %d (%s)", c.level, c.phaseLocked())
+		return nil, fmt.Errorf("dist: run still at level %d", c.level)
 	}
 	return c.witness, nil
 }
@@ -189,21 +185,6 @@ func (c *Coordinator) notifyLocked() {
 	c.changed = make(chan struct{})
 }
 
-// phaseLocked derives the current phase from the barrier marks, so a
-// reassignment that clears a slice's expand mark regresses the phase
-// automatically and the redo is awaited like the original work.
-func (c *Coordinator) phaseLocked() string {
-	if c.done {
-		return phaseDone
-	}
-	for i := range c.slices {
-		if !c.slices[i].expanded {
-			return phaseExpand
-		}
-	}
-	return phaseIngest
-}
-
 // heartbeatLocked renews w's lease and expires everyone else's.
 func (c *Coordinator) heartbeatLocked(w string, now time.Time) {
 	c.workers[w] = now
@@ -223,18 +204,13 @@ func (c *Coordinator) heartbeatLocked(w string, now time.Time) {
 	c.scope.Gauge("dist_workers_live").Set(int64(len(c.workers)))
 }
 
-// revokeLocked returns a slice to the pool and clears its current-level
-// barrier marks so the next owner redoes the level's work. Chunks the dead
-// owner posted are kept: reposts overwrite them with identical bytes.
+// revokeLocked returns a slice to the pool. Its barrier mark, if any, and
+// the chunks the dead owner posted are kept: the next owner redoes only
+// what the level still lacks, and its reposts carry identical bytes.
 func (c *Coordinator) revokeLocked(s int, now time.Time) {
 	sl := &c.slices[s]
 	sl.owner = ""
 	sl.freeSince = now
-	sl.expanded = false
-	sl.ingested = false
-	sl.steps = 0
-	sl.fresh = 0
-	sl.digest = explore.Fingerprint{}
 	c.notifyLocked()
 }
 
@@ -263,21 +239,19 @@ func (c *Coordinator) grantLocked(w string, now time.Time) {
 		if holds && now.Sub(later(sl.freeSince, c.firstPoll)) < c.beat() {
 			continue
 		}
-		c.assignLocked(s, w, now)
+		c.assignLocked(s, w)
 		return
 	}
 }
 
 // assignLocked makes w the owner of slice s under a fresh epoch.
-func (c *Coordinator) assignLocked(s int, w string, now time.Time) {
+func (c *Coordinator) assignLocked(s int, w string) {
 	sl := &c.slices[s]
 	if sl.everOwned {
 		sl.reassigns++
-		c.reassignTotal++
 		c.scope.Counter("dist_reassigns").Add(1)
 	}
 	sl.owner = w
-	sl.grantedAt = now
 	sl.everOwned = true
 	sl.epoch++
 	c.scope.Event("dist_grant")
@@ -296,23 +270,19 @@ func later(a, b time.Time) time.Time {
 // it bumps on every grant, so a worker that was silently revoked and later
 // regranted the same slice (its local state possibly stale by then) sees
 // the epoch change and rebuilds from the checkpoint instead of trusting
-// memory. Expanded/Ingested are the coordinator's authoritative barrier
-// marks — cleared on revocation, so the worker knows exactly what the
-// current level still needs from it.
+// memory. Expanded is the coordinator's authoritative barrier mark for the
+// current level: a slice without it is the worker's to do.
 type pollSlice struct {
-	Slice     int  `json:"slice"`
-	Epoch     int  `json:"epoch"`
-	CkptLevel int  `json:"ckpt_level"`
-	HasCkpt   bool `json:"has_ckpt"`
-	Expanded  bool `json:"expanded"`
-	Ingested  bool `json:"ingested"`
+	Slice    int  `json:"slice"`
+	Epoch    int  `json:"epoch"`
+	HasCkpt  bool `json:"has_ckpt"`
+	Expanded bool `json:"expanded"`
 }
 
 // pollResponse is the authoritative answer to a worker poll: the barrier
 // position and the full set of slices the worker currently leases.
 type pollResponse struct {
 	Level  int         `json:"level"`
-	Phase  string      `json:"phase"`
 	Done   bool        `json:"done"`
 	Slices []pollSlice `json:"slices"`
 }
@@ -322,8 +292,8 @@ type pollResponse struct {
 const maxPark = 10 * time.Second
 
 // poll is a worker's heartbeat + work request. It answers at once when w
-// has work — the run is done, or a slice w leases still lacks its
-// current-phase barrier mark. Otherwise it parks, holding no lock, until a
+// has work — the run is done, or a slice w leases still lacks the current
+// level's barrier mark. Otherwise it parks, holding no lock, until a
 // mutation closes the change channel (then it re-evaluates), a beat
 // passes, or ctx ends. Every wake re-stamps w's heartbeat, so a parked
 // worker never loses its lease.
@@ -364,35 +334,28 @@ func (c *Coordinator) pollLocked(w string, now time.Time) pollResponse {
 	if !c.done {
 		c.grantLocked(w, now)
 	}
-	resp := pollResponse{Level: c.level, Phase: c.phaseLocked(), Done: c.done}
+	resp := pollResponse{Level: c.level, Done: c.done}
 	for s := range c.slices {
 		if sl := &c.slices[s]; sl.owner == w {
 			resp.Slices = append(resp.Slices, pollSlice{
-				Slice:     s,
-				Epoch:     sl.epoch,
-				CkptLevel: sl.ckptLevel,
-				HasCkpt:   sl.hasCkpt,
-				Expanded:  sl.expanded,
-				Ingested:  sl.ingested,
+				Slice:    s,
+				Epoch:    sl.epoch,
+				HasCkpt:  sl.hasCkpt,
+				Expanded: sl.expanded,
 			})
 		}
 	}
 	return resp
 }
 
-// due reports whether the slice still owes the phase its barrier mark.
-func (ps pollSlice) due(phase string) bool {
-	return (phase == phaseExpand && !ps.Expanded) || (phase == phaseIngest && !ps.Ingested)
-}
-
 // hasWork reports whether the answer gives its worker something to do:
-// the run is over, or one of its slices is due in the current phase.
+// the run is over, or one of its slices still lacks the level's mark.
 func (r pollResponse) hasWork() bool {
 	if r.Done {
 		return true
 	}
 	for _, ps := range r.Slices {
-		if ps.due(r.Phase) {
+		if !ps.Expanded {
 			return true
 		}
 	}
@@ -416,21 +379,6 @@ func (c *Coordinator) heartbeat(w string) {
 type errNotOwner struct{ slice int }
 
 func (e errNotOwner) Error() string { return fmt.Sprintf("dist: not the owner of slice %d", e.slice) }
-
-// errStale is also mapped to HTTP 409: the post comes from the slice's
-// current owner but describes work from before a revoke+regrant cleared the
-// slice's marks, so the poster's local state may predate its own regrant.
-// Retrying verbatim cannot help, but the worker is healthy — it must drop
-// the slice and rebuild from the checkpoint on its next poll, exactly the
-// ErrLeaseLost path, never exit.
-type errStale struct {
-	slice int
-	what  string
-}
-
-func (e errStale) Error() string {
-	return fmt.Sprintf("dist: stale %s for slice %d, rebuild from checkpoint", e.what, e.slice)
-}
 
 // checkOwnerLocked validates w's lease on slice s.
 func (c *Coordinator) checkOwnerLocked(w string, s int) error {
@@ -539,8 +487,9 @@ func (c *Coordinator) putChunk(w string, body []byte) error {
 	c.heartbeatLocked(w, now)
 	if h.Level < c.level {
 		// Delayed duplicate of a chunk for a closed level; the stored copy
-		// (identical bytes) was already ingested. Idempotent — whoever owns
-		// the slice now, the level's answer is already folded in.
+		// (identical bytes) landed before the level could close.
+		// Idempotent — whoever owns the slice now, the level's answer is
+		// already folded in.
 		return nil
 	}
 	if h.Level != c.level {
@@ -606,9 +555,11 @@ func (c *Coordinator) getChunk(level, from, to int) ([]byte, error) {
 	return body, nil
 }
 
-// expanded records a slice's expand-done for the level, with the steps its
-// expansion examined.
-func (c *Coordinator) expanded(w string, s, level int, steps int64) error {
+// expanded records a slice's barrier mark for the level. The worker posts
+// it last, after the slice's checkpoint and every chunk of the level, so
+// any later owner can adopt a marked slice as it stands. The mark that
+// completes the level closes it.
+func (c *Coordinator) expanded(w string, s, level int, m levelMark) error {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -616,126 +567,67 @@ func (c *Coordinator) expanded(w string, s, level int, steps int64) error {
 	if err := c.checkOwnerLocked(w, s); err != nil {
 		return err
 	}
-	if level < c.level {
+	if level < c.level || c.done {
 		// Delayed duplicate for a closed level; already counted. Idempotent.
 		return nil
 	}
 	if level != c.level {
-		return fmt.Errorf("dist: expand-done for level %d, run is at %d", level, c.level)
+		return fmt.Errorf("dist: mark for level %d, run is at %d", level, c.level)
 	}
-	if sl := &c.slices[s]; sl.expanded && sl.steps == steps {
+	if sl := &c.slices[s]; sl.expanded && sl.mark == m {
 		return nil // duplicate — already applied and journaled
 	}
-	c.journal.append(journalRec{Tag: jrecExpanded, Slice: s, Level: level, Steps: steps})
-	c.applyExpandedLocked(s, steps)
-	return nil
-}
-
-// applyExpandedLocked marks a slice's expand-done for the current level.
-func (c *Coordinator) applyExpandedLocked(s int, steps int64) {
-	sl := &c.slices[s]
-	sl.expanded = true
-	sl.steps = steps
-	c.notifyLocked()
-}
-
-// ingested records a slice's ingest-done for the level: how many fresh
-// configurations it accepted at depth level+1 and their XOR digest. When
-// the last slice posts, the level advances.
-func (c *Coordinator) ingested(w string, s, level int, fresh int64, digest explore.Fingerprint) error {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heartbeatLocked(w, now)
-	if err := c.checkOwnerLocked(w, s); err != nil {
-		return err
-	}
-	if level < c.level {
-		// A delayed duplicate for a level that already closed; its original
-		// was applied, or the slice was redone by a successor. Idempotent.
-		return nil
-	}
-	if level != c.level {
-		return fmt.Errorf("dist: ingest-done for level %d, run is at %d", level, c.level)
-	}
-	sl := &c.slices[s]
-	if c.phaseLocked() != phaseIngest {
-		// The heartbeat above may have just lazily expired a dead worker,
-		// revoking its slices and clearing their expand marks — regressing
-		// the phase from ingest back to expand while this post was in
-		// flight. The post is still exactly right: the phase only reaches
-		// ingest after every slice shipped its chunks, revocation retains
-		// them, and a redone expansion reposts identical bytes, so the
-		// result computed from that chunk set is the level's deterministic
-		// answer. Accept it as long as the poster's own expand mark
-		// survived; if the poster's own slice was revoked and regranted,
-		// its cached result predates the regrant — 409 sends the worker
-		// back to rebuild from the checkpoint instead of killing it.
-		if !sl.expanded {
-			return errStale{slice: s, what: "ingest-done"}
-		}
-	}
-	if sl.ingested && sl.fresh == fresh && sl.digest == digest {
-		return nil // duplicate — already applied and journaled
-	}
-	// Journal before applying: if this is the post that closes the level,
+	// Journal before applying: if this is the mark that closes the level,
 	// the apply snapshots and rotates the WAL, and the fallback-chain
 	// invariant needs the closing record to be the old WAL's last entry.
-	c.journal.append(journalRec{Tag: jrecIngested, Slice: s, Level: level, Fresh: fresh, Digest: digest})
-	c.applyIngestedLocked(s, fresh, digest)
+	c.journal.append(journalRec{Tag: jrecExpanded, Slice: s, Level: level, Steps: m.Steps, Fresh: m.Fresh, Digest: m.Digest})
+	c.applyExpandedLocked(s, m)
 	return nil
 }
 
-// applyIngestedLocked marks a slice's ingest-done and closes the level if
-// it was the last one outstanding.
-func (c *Coordinator) applyIngestedLocked(s int, fresh int64, digest explore.Fingerprint) {
+// applyExpandedLocked marks a slice for the current level and closes the
+// level if it was the last one outstanding.
+func (c *Coordinator) applyExpandedLocked(s int, m levelMark) {
 	sl := &c.slices[s]
-	sl.ingested = true
-	sl.fresh = fresh
-	sl.digest = digest
+	sl.expanded = true
+	sl.mark = m
 	c.maybeAdvanceLocked()
 	c.notifyLocked()
 }
 
-// maybeAdvanceLocked closes the level once every slice has expanded and
-// ingested: aggregate the stats, prune chunks older than the retention
-// window (the previous level — a reassigned slice's checkpoint is never
-// older than that), and either start the next level or finish the run.
+// maybeAdvanceLocked closes the level once every slice has marked it:
+// record the depth's count and digest, add the level's steps, prune chunks
+// below the level (the next level's catch-up needs only this level's set),
+// and either start the next level or finish the run.
 func (c *Coordinator) maybeAdvanceLocked() {
-	if c.done || c.phaseLocked() != phaseIngest {
+	if c.done {
 		return
 	}
-	var fresh, steps int64
-	var digest explore.Fingerprint
+	var sum levelMark
 	for i := range c.slices {
 		sl := &c.slices[i]
-		if !sl.ingested {
+		if !sl.expanded {
 			return
 		}
-		fresh += sl.fresh
-		steps += sl.steps
-		digest[0] ^= sl.digest[0]
-		digest[1] ^= sl.digest[1]
+		sum.Steps += sl.mark.Steps
+		sum.Fresh += sl.mark.Fresh
+		sum.Digest[0] ^= sl.mark.Digest[0]
+		sum.Digest[1] ^= sl.mark.Digest[1]
 	}
-	c.steps += steps
-	// A level that ingested nothing fresh is the run ending, not a level:
-	// the sequential reference records no empty depth, and the witnesses
-	// must match byte for byte.
-	if fresh > 0 {
-		c.levels = append(c.levels, LevelStat{Fresh: fresh, Digest: digest})
+	c.steps += sum.Steps
+	// A depth with nothing fresh is the run ending, not a level: the
+	// sequential reference records no empty depth, and the witnesses must
+	// match byte for byte.
+	if sum.Fresh > 0 {
+		c.levels = append(c.levels, LevelStat{Fresh: sum.Fresh, Digest: sum.Digest})
 	}
 	for i := range c.slices {
-		sl := &c.slices[i]
-		sl.expanded = false
-		sl.ingested = false
-		sl.steps = 0
-		sl.fresh = 0
-		sl.digest = explore.Fingerprint{}
+		c.slices[i].expanded = false
+		c.slices[i].mark = levelMark{}
 	}
-	next := c.level + 1
-	c.pruneChunksLocked(next - 1)
+	c.pruneChunksLocked(c.level)
 	c.scope.Event("dist_level_done")
-	if fresh == 0 || (c.spec.MaxDepth > 0 && next >= c.spec.MaxDepth) {
+	if sum.Fresh == 0 || (c.spec.MaxDepth > 0 && c.level >= c.spec.MaxDepth) {
 		c.done = true
 		c.witness = RenderWitness(c.spec, c.levels, c.steps)
 		// No reassignment can need a chunk now: workers see Done on their
@@ -747,16 +639,16 @@ func (c *Coordinator) maybeAdvanceLocked() {
 		c.snapshotLocked()
 		return
 	}
-	c.level = next
+	c.level++
 	c.levelStart = time.Now()
-	c.scope.Gauge("dist_level").Set(int64(next))
+	c.scope.Gauge("dist_level").Set(int64(c.level))
 	c.snapshotLocked()
 }
 
 // pruneChunksLocked drops retained exchange chunks for levels below floor.
 // The retention window {level-1, level} (floor = level-1) is exactly what
-// a reassignment can still need: an adopted checkpoint is never older than
-// the previous level, and its catch-up ingests that level's chunk set.
+// an owner can still need: a slice's checkpoint is never older than the
+// previous level, and its catch-up ingests that level's chunk set.
 // Without the prune, chunk memory — and the journal snapshots carrying
 // it — would grow with the full explored space instead of the frontier.
 func (c *Coordinator) pruneChunksLocked(floor int) {
@@ -773,14 +665,13 @@ func (c *Coordinator) pruneChunksLocked(floor int) {
 }
 
 // ShardHealth reports per-slice liveness for /progress: the owning worker,
-// the slice's checkpoint level, its lease age, and how many times the
-// slice has been reassigned. One endpoint diagnoses a stalled distributed
+// the run's level, its lease age, and how many times the slice has been
+// reassigned. One endpoint diagnoses a stalled distributed
 // run.
 func (c *Coordinator) ShardHealth() []obs.ShardHealth {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	phase := c.phaseLocked()
 	out := make([]obs.ShardHealth, len(c.slices))
 	for s := range c.slices {
 		sl := &c.slices[s]
@@ -788,7 +679,6 @@ func (c *Coordinator) ShardHealth() []obs.ShardHealth {
 			Slice:     s,
 			Worker:    sl.owner,
 			Level:     c.level,
-			Phase:     phase,
 			Reassigns: sl.reassigns,
 		}
 		if sl.owner != "" {

@@ -4,33 +4,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"repro/internal/explore"
 )
 
 // Crash recovery (S25). The coordinator's durable state is everything a
-// restart needs to resume the barrier at the exact level and phase:
-// closed-level stats, per-slice checkpoints and expand marks, retained
-// exchange chunks, and the step total. Leases are deliberately NOT
-// persisted — a restart is a mass revocation: every slice comes back
-// unowned, workers re-acquire under a bumped generation's epochs, and PR
-// 9's fencing rejects anything a pre-crash zombie still posts. Ingest
-// marks are cleared too, even when journaled: a new owner granted a slice
-// that "already ingested" would have no frontier to promote when the level
-// closes, while redoing the ingest from the retained chunk set is
-// deterministic and cheap. Expand marks survive because their invariant is
-// adoptable: a slice only marks expanded after posting a checkpoint at the
-// current level and every outgoing chunk, so any new owner can pick it up
-// in the ingest phase directly.
+// restart needs to resume the barrier at the exact level: closed-level
+// stats, per-slice checkpoints and barrier marks, retained exchange chunks,
+// and the step total. Leases are deliberately NOT persisted — a restart is
+// a mass revocation: every slice comes back unowned, workers re-acquire
+// under a bumped generation's epochs, and epoch fencing rejects anything a
+// pre-crash zombie still posts. Every mark survives: a slice is marked
+// only after its checkpoint at the level and every outgoing chunk landed,
+// so a new owner of a marked slice simply waits for the next level and
+// catches up from that checkpoint and the retained chunks.
 
 // Status is the coordinator's externally visible barrier position, served
 // at GET /dist/status for supervisors and the chaos harness.
 type Status struct {
-	Level      int    `json:"level"`
-	Phase      string `json:"phase"`
-	Done       bool   `json:"done"`
-	Recovering bool   `json:"recovering"`
-	Gen        int    `json:"gen"`
+	Level      int  `json:"level"`
+	Done       bool `json:"done"`
+	Recovering bool `json:"recovering"`
+	Gen        int  `json:"gen"`
 }
 
 // Status reports the barrier position.
@@ -39,7 +32,6 @@ func (c *Coordinator) Status() Status {
 	defer c.mu.Unlock()
 	return Status{
 		Level:      c.level,
-		Phase:      c.phaseLocked(),
 		Done:       c.done,
 		Recovering: c.recovering,
 		Gen:        c.gen,
@@ -56,11 +48,12 @@ func (c *Coordinator) Recovering() bool {
 }
 
 // AttachJournal wires a journal to the coordinator. A journal that holds
-// prior state (its directory survived a crash) must describe this exact
-// run — same spec, same root fingerprint — and puts the coordinator into
-// the recovering state until Recover is called; a fresh journal is seeded
-// with a snapshot of the empty run immediately, so even a crash before the
-// first level close restarts cleanly.
+// prior state (its directory survived a crash) must be in this layout's
+// format and describe this exact run — same spec, same root fingerprint —
+// and puts the coordinator into the recovering state until Recover is
+// called; a fresh journal is seeded with a snapshot of the empty run
+// immediately, so even a crash before the first level close restarts
+// cleanly.
 func (c *Coordinator) AttachJournal(j *Journal) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -69,6 +62,9 @@ func (c *Coordinator) AttachJournal(j *Journal) error {
 	}
 	if j.Recovered() {
 		meta := j.recovered.meta
+		if meta.Format != journalFormat {
+			return fmt.Errorf("dist: journal %s has format %d, this coordinator reads format %d", j.Dir(), meta.Format, journalFormat)
+		}
 		if meta.Spec != c.spec {
 			return fmt.Errorf("dist: journal %s belongs to a different run: spec %+v, this run is %+v", j.Dir(), meta.Spec, c.spec)
 		}
@@ -123,10 +119,7 @@ func (c *Coordinator) Recover() error {
 		sl.hasCkpt = ss.hasCkpt
 		sl.everOwned = ss.everOwned
 		sl.expanded = ss.expanded
-		sl.ingested = ss.ingested
-		sl.steps = ss.steps
-		sl.fresh = ss.fresh
-		sl.digest = ss.digest
+		sl.mark = ss.mark
 		sl.reassigns = ss.reassigns
 	}
 
@@ -151,18 +144,11 @@ func (c *Coordinator) Recover() error {
 		c.scope.Gauge("dist_done").Set(1)
 	}
 
-	// Lease amnesia: every slice unowned, every worker forgotten, ingest
-	// marks redone by the next owners (see the package comment above).
-	// The grant grace restarts with this incarnation's first poll.
+	// Lease amnesia: every slice unowned, every worker forgotten (see the
+	// package comment above). The grant grace restarts with this
+	// incarnation's first poll.
 	c.workers = make(map[string]time.Time)
 	c.firstPoll = time.Time{}
-	for s := range c.slices {
-		sl := &c.slices[s]
-		sl.owner = ""
-		sl.ingested = false
-		sl.fresh = 0
-		sl.digest = explore.Fingerprint{}
-	}
 
 	// New generation: rebase every epoch above anything the dead
 	// incarnation ever granted, and make the bump durable both in the
@@ -226,11 +212,7 @@ func (c *Coordinator) replayLocked(rec journalRec) {
 		}
 	case jrecExpanded:
 		if rec.Slice < len(c.slices) && rec.Level == c.level && !c.done {
-			c.applyExpandedLocked(rec.Slice, rec.Steps)
-		}
-	case jrecIngested:
-		if rec.Slice < len(c.slices) && rec.Level == c.level && !c.done {
-			c.applyIngestedLocked(rec.Slice, rec.Fresh, rec.Digest)
+			c.applyExpandedLocked(rec.Slice, levelMark{Steps: rec.Steps, Fresh: rec.Fresh, Digest: rec.Digest})
 		}
 	case jrecGen:
 		if rec.Gen > c.gen {
@@ -254,6 +236,7 @@ func (c *Coordinator) snapshotLocked() {
 // record sequence of one snapshot segment.
 func (c *Coordinator) snapshotRecordsLocked(seq uint64) [][]byte {
 	meta := journalMeta{
+		Format: journalFormat,
 		Seq:    seq,
 		Gen:    c.gen,
 		Level:  c.level,
@@ -285,9 +268,6 @@ func (c *Coordinator) snapshotRecordsLocked(seq uint64) [][]byte {
 		if sl.expanded {
 			flags |= sflagExpanded
 		}
-		if sl.ingested {
-			flags |= sflagIngested
-		}
 		if sl.everOwned {
 			flags |= sflagEverOwned
 		}
@@ -296,9 +276,9 @@ func (c *Coordinator) snapshotRecordsLocked(seq uint64) [][]byte {
 			Slice:     s,
 			Flags:     flags,
 			CkptLevel: sl.ckptLevel,
-			Steps:     sl.steps,
-			Fresh:     sl.fresh,
-			Digest:    sl.digest,
+			Steps:     sl.mark.Steps,
+			Fresh:     sl.mark.Fresh,
+			Digest:    sl.mark.Digest,
 			Reassigns: sl.reassigns,
 			Body:      sl.ckpt,
 		}).encode())

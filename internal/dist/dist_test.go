@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -182,62 +183,81 @@ func TestCorruptChunkRetry(t *testing.T) {
 	}
 }
 
-// TestIngestDoneSurvivesPhaseRegression: a healthy worker's ingest-done
-// whose own embedded heartbeat lazily expires a dead peer — revoking the
-// peer's slice, clearing its expand mark, and regressing the phase from
-// ingest back to expand — must be accepted, not rejected as a terminal
-// 400. The poster's result was computed from the level's complete retained
-// chunk set and a redo reproduces it byte for byte; killing the survivor
-// here would cascade the exact failure the leases exist to survive.
-func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
-	tr := newTestRun(t, 3, 2, 3, 60)
-	c := tr.coord
-	c.poll(context.Background(), "live") // grants slice 0
-	c.poll(context.Background(), "dead") // grants slice 1
-	if err := c.expanded("live", 0, 0, 1); err != nil {
-		t.Fatal(err)
+// TestOneMarkPerSlicePerLevel: a level is one barrier. A depth-12 run
+// posts exactly one mark per slice for each of levels 0..12 — the last
+// one only counts the depth-12 frontier — and never the retired second
+// barrier's /dist/ingested.
+func TestOneMarkPerSlicePerLevel(t *testing.T) {
+	tr := newTestRun(t, 3, 2, 12, 5000)
+	var mu sync.Mutex
+	marks := map[string]int{}
+	ingested := 0
+	handler := tr.coord.Handler()
+	tr.srv.Close()
+	tr.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		switch r.URL.Path {
+		case "/dist/expanded":
+			marks[r.URL.Query().Get("slice")]++
+		case "/dist/ingested":
+			ingested++
+		}
+		mu.Unlock()
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(tr.srv.Close)
+	got := tr.runWorkers(t, tr.worker("w0", 1, nil), tr.worker("w1", 2, nil))
+	if want := tr.sequential(t); !bytes.Equal(got, want) {
+		t.Fatalf("distributed witness differs from sequential:\n--- distributed\n%s--- sequential\n%s", got, want)
 	}
-	if err := c.expanded("dead", 1, 0, 1); err != nil {
-		t.Fatal(err)
+	mu.Lock()
+	defer mu.Unlock()
+	if ingested != 0 {
+		t.Fatalf("%d /dist/ingested requests, want none", ingested)
 	}
-	// Let dead's lease lapse, then post live's ingest-done: the heartbeat
-	// inside ingested() expires dead and regresses the phase to expand
-	// before the phase check runs.
-	time.Sleep(100 * time.Millisecond)
-	if err := c.ingested("live", 0, 0, 2, explore.Fingerprint{1, 2}); err != nil {
-		t.Fatalf("healthy worker's ingest-done rejected after phase regression: %v", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.slices[1].owner != "" || c.slices[1].expanded {
-		t.Fatal("dead worker's slice was not revoked — the regression never happened")
-	}
-	if !c.slices[0].ingested {
-		t.Fatal("accepted ingest-done did not mark the slice")
+	if len(marks) != 2 || marks["0"] != 13 || marks["1"] != 13 {
+		t.Fatalf("marks per slice %v, want 13 for each of slices 0 and 1", marks)
 	}
 }
 
-// TestStaleIngestDoneAfterRegrant: an ingest-done whose slice was revoked
-// and regranted (epoch bumped, marks cleared) since the result was
-// computed gets 409 — the client maps it to ErrLeaseLost, so the worker
-// drops the slice and rebuilds from the checkpoint instead of exiting.
-func TestStaleIngestDoneAfterRegrant(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 3, 5000)
-	ctx := context.Background()
-	cl := newClient(tr.srv.URL, "w", 1)
-	if _, err := cl.poll(ctx); err != nil {
+// TestMarkAcrossRegrantCountedOnce: a mark from a worker whose slice was
+// revoked and regranted back to it mid-level is still the level's work —
+// it was posted after the slice's checkpoint and chunks — so it is applied
+// once, survives the regrant, makes a repost a no-op, and its steps are
+// counted once when the level closes.
+func TestMarkAcrossRegrantCountedOnce(t *testing.T) {
+	tr := newTestRun(t, 3, 2, 3, 5000)
+	c := tr.coord
+	c.mu.Lock()
+	c.assignLocked(0, "w")
+	c.assignLocked(1, "peer")
+	c.revokeLocked(0, time.Now())
+	c.assignLocked(0, "w") // regranted back: same owner, new epoch
+	c.mu.Unlock()
+	mine := levelMark{Steps: 5, Fresh: 1, Digest: tr.coord.rootFP}
+	for range 2 { // the mark computed before the regrant, then a retry of it
+		if err := c.expanded("w", 0, 0, mine); err != nil {
+			t.Fatalf("mark across a regrant rejected: %v", err)
+		}
+	}
+	c.mu.Lock()
+	c.revokeLocked(0, time.Now())
+	c.assignLocked(0, "w")
+	marked := c.slices[0].expanded
+	c.mu.Unlock()
+	if !marked {
+		t.Fatal("revocation dropped a mark whose work is all on the coordinator")
+	}
+	if err := c.expanded("peer", 1, 0, levelMark{Steps: 7}); err != nil {
 		t.Fatal(err)
 	}
-	tr.coord.mu.Lock()
-	tr.coord.revokeLocked(0, time.Now())
-	tr.coord.mu.Unlock()
-	// Regrant to the same worker: same owner, new epoch, cleared marks.
-	if _, err := cl.poll(ctx); err != nil {
-		t.Fatal(err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.level != 1 || c.steps != 12 {
+		t.Fatalf("after the close: level %d, %d steps; want level 1, 5+7 steps", c.level, c.steps)
 	}
-	err := cl.postIngested(ctx, 0, 0, 1, explore.Fingerprint{})
-	if !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("stale ingest-done after regrant returned %v, want ErrLeaseLost", err)
+	if len(c.levels) != 1 || c.levels[0] != (LevelStat{Fresh: 1, Digest: c.rootFP}) {
+		t.Fatalf("closed depths %+v, want only the root", c.levels)
 	}
 }
 
@@ -286,7 +306,7 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 	if _, err := thief.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	err := zombie.postExpanded(ctx, 0, 0, 1)
+	err := zombie.postExpanded(ctx, 0, 0, levelMark{Steps: 1})
 	if err == nil {
 		t.Fatal("zombie post accepted")
 	}

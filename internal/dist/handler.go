@@ -7,9 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-
-	"repro/internal/checkpoint"
-	"repro/internal/explore"
 )
 
 // maxChunkBody bounds a single uploaded chunk or checkpoint. Frontier
@@ -32,7 +29,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /dist/chunkset", c.gated(c.handleChunkSet))
 	mux.HandleFunc("GET /dist/chunk", c.gated(c.handleGetChunk))
 	mux.HandleFunc("POST /dist/expanded", c.gated(c.handleExpanded))
-	mux.HandleFunc("POST /dist/ingested", c.gated(c.handleIngested))
 	mux.HandleFunc("GET /dist/witness", c.gated(c.handleWitness))
 	mux.HandleFunc("GET /dist/status", c.handleStatus)
 	mux.HandleFunc("GET /dist/healthz", c.handleHealthz)
@@ -86,16 +82,15 @@ func distWriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// distError maps coordinator errors onto status codes: lost leases and
-// stale posts are 409 (the worker must drop the slice and rebuild, not
-// retry verbatim — and never exit), corruption is 400 (the payload is bad
-// however often it is resent), everything else is also 400 — the
-// coordinator's in-memory handling has no transient 5xx failures.
+// distError maps coordinator errors onto status codes: lost leases are
+// 409 (the worker must drop the slice, not retry verbatim — and never
+// exit), corruption is 400 (the payload is bad however often it is
+// resent), everything else is also 400 — the coordinator's in-memory
+// handling has no transient 5xx failures.
 func distError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var notOwner errNotOwner
-	var stale errStale
-	if errors.As(err, &notOwner) || errors.As(err, &stale) {
+	if errors.As(err, &notOwner) {
 		status = http.StatusConflict
 	}
 	distWriteJSON(w, status, map[string]string{"error": err.Error()})
@@ -272,35 +267,12 @@ func (c *Coordinator) handleExpanded(w http.ResponseWriter, r *http.Request) {
 		distError(w, err)
 		return
 	}
-	if err := c.expanded(worker, slice, level, int64(steps)); err != nil {
-		distError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handleIngested(w http.ResponseWriter, r *http.Request) {
-	worker, err := workerParam(r)
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	slice, err := intParam(r, "slice")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	level, err := intParam(r, "level")
-	if err != nil {
-		distError(w, err)
-		return
-	}
 	fresh, err := intParam(r, "fresh")
 	if err != nil {
 		distError(w, err)
 		return
 	}
-	var digest explore.Fingerprint
+	m := levelMark{Steps: int64(steps), Fresh: int64(fresh)}
 	for i, name := range []string{"digest0", "digest1"} {
 		s := r.URL.Query().Get(name)
 		if s == "" {
@@ -312,9 +284,9 @@ func (c *Coordinator) handleIngested(w http.ResponseWriter, r *http.Request) {
 			distError(w, fmt.Errorf("dist: bad %q parameter: %w", name, err))
 			return
 		}
-		digest[i] = v
+		m.Digest[i] = v
 	}
-	if err := c.ingested(worker, slice, level, int64(fresh), digest); err != nil {
+	if err := c.expanded(worker, slice, level, m); err != nil {
 		distError(w, err)
 		return
 	}
@@ -329,11 +301,4 @@ func (c *Coordinator) handleWitness(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write(body)
-}
-
-// IsCorrupt reports whether err (or any error in its chain) marks a torn
-// or corrupted chunk/checkpoint — the condition workers retry with a fresh
-// request rather than give up on.
-func IsCorrupt(err error) bool {
-	return errors.Is(err, checkpoint.ErrCorrupt)
 }

@@ -30,7 +30,7 @@ import (
 // durable append. The last two pairs are kept (keep-2, matching the
 // checkpoint store); if the newest snapshot is corrupt, recovery falls back
 // to the previous one and replays *both* WALs — wal-<seq-1> ends with
-// exactly the ingest record whose level close produced snapshot <seq>, so
+// exactly the barrier mark whose level close produced snapshot <seq>, so
 // the chain is gapless.
 //
 // Appends are not fsynced per record: SIGKILL (the chaos harness's crash)
@@ -44,12 +44,12 @@ import (
 // running; the next successful snapshot re-establishes durability with a
 // fresh WAL.
 
-// Journal record tags. 1–5 are WAL mutations, 10–13 snapshot records.
+// Journal record tags. 1–3 and 5 are WAL mutations, 10–13 snapshot
+// records.
 const (
 	jrecCkpt     = 1  // slice checkpoint accepted: slice, level, body
 	jrecChunk    = 2  // exchange chunk stored: level, from, to, body
-	jrecExpanded = 3  // expand barrier mark: slice, level, steps
-	jrecIngested = 4  // ingest barrier mark: slice, level, fresh, digest
+	jrecExpanded = 3  // barrier mark: slice, level, steps, fresh, digest
 	jrecGen      = 5  // generation bump written at the start of a recovery
 	jrecMeta     = 10 // snapshot meta (JSON)
 	jrecLevel    = 11 // one closed level's stats: fresh, digest
@@ -83,7 +83,6 @@ type journalRec struct {
 const (
 	sflagHasCkpt   = 1 << 0
 	sflagExpanded  = 1 << 1
-	sflagIngested  = 1 << 2
 	sflagEverOwned = 1 << 3
 )
 
@@ -107,9 +106,6 @@ func (r *journalRec) encode() []byte {
 		b = appendUvarint(b, uint64(r.Slice))
 		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.Steps))
-	case jrecIngested:
-		b = appendUvarint(b, uint64(r.Slice))
-		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.Fresh))
 		b = appendUvarint(b, r.Digest[0])
 		b = appendUvarint(b, r.Digest[1])
@@ -204,29 +200,19 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 			return r, err
 		}
 		r.Steps = int64(steps)
-		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after expanded record", errJournalCorrupt, len(b))
-		}
-	case jrecIngested:
-		if r.Slice, b, err = uvarintField(b, "ingested slice"); err != nil {
-			return r, err
-		}
-		if r.Level, b, err = uvarintField(b, "ingested level"); err != nil {
-			return r, err
-		}
 		var fresh int
-		if fresh, b, err = uvarintField(b, "ingested fresh"); err != nil {
+		if fresh, b, err = uvarintField(b, "expanded fresh"); err != nil {
 			return r, err
 		}
 		r.Fresh = int64(fresh)
-		if r.Digest[0], b, err = uvarint64Field(b, "ingested digest0"); err != nil {
+		if r.Digest[0], b, err = uvarint64Field(b, "expanded digest0"); err != nil {
 			return r, err
 		}
-		if r.Digest[1], b, err = uvarint64Field(b, "ingested digest1"); err != nil {
+		if r.Digest[1], b, err = uvarint64Field(b, "expanded digest1"); err != nil {
 			return r, err
 		}
 		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after ingested record", errJournalCorrupt, len(b))
+			return r, fmt.Errorf("%w: %d trailing bytes after expanded record", errJournalCorrupt, len(b))
 		}
 	case jrecGen:
 		if r.Gen, b, err = uvarintField(b, "generation"); err != nil {
@@ -260,7 +246,7 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 			return r, fmt.Errorf("%w: slice record missing flags", errJournalCorrupt)
 		}
 		r.Flags = b[0]
-		if r.Flags&^(sflagHasCkpt|sflagExpanded|sflagIngested|sflagEverOwned) != 0 {
+		if r.Flags&^(sflagHasCkpt|sflagExpanded|sflagEverOwned) != 0 {
 			return r, fmt.Errorf("%w: slice record has unknown flags %#x", errJournalCorrupt, r.Flags)
 		}
 		b = b[1:]
@@ -292,8 +278,16 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 	return r, nil
 }
 
+// journalFormat names the journal's layout: one barrier mark per slice per
+// level, and a levels list that at level L holds depths 0..L-1. The
+// two-phase coordinator's snapshots carry no format (it reads as 0), and
+// their levels list at level L already holds depth L, so replaying one
+// here would count a depth twice. AttachJournal refuses any other format.
+const journalFormat = 1
+
 // journalMeta is the JSON body of a snapshot's jrecMeta record.
 type journalMeta struct {
+	Format int       `json:"format"`
 	Seq    uint64    `json:"seq"`
 	Gen    int       `json:"gen"`
 	Level  int       `json:"level"`
@@ -310,12 +304,9 @@ type journalMeta struct {
 type snapSlice struct {
 	hasCkpt   bool
 	expanded  bool
-	ingested  bool
 	everOwned bool
 	ckptLevel int
-	steps     int64
-	fresh     int64
-	digest    explore.Fingerprint
+	mark      levelMark
 	reassigns int
 	ckpt      []byte
 }
@@ -478,12 +469,9 @@ func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
 			s := &st.slices[r.Slice]
 			s.hasCkpt = r.Flags&sflagHasCkpt != 0
 			s.expanded = r.Flags&sflagExpanded != 0
-			s.ingested = r.Flags&sflagIngested != 0
 			s.everOwned = r.Flags&sflagEverOwned != 0
 			s.ckptLevel = r.CkptLevel
-			s.steps = r.Steps
-			s.fresh = r.Fresh
-			s.digest = r.Digest
+			s.mark = levelMark{Steps: r.Steps, Fresh: r.Fresh, Digest: r.Digest}
 			s.reassigns = r.Reassigns
 			s.ckpt = slices.Clone(r.Body)
 		case jrecRetained:

@@ -20,8 +20,8 @@ func sampleJournalRecords() map[string][]byte {
 	return map[string][]byte{
 		"ckpt":     (&journalRec{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")}).encode(),
 		"chunk":    (&journalRec{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")}).encode(),
-		"expanded": (&journalRec{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777}).encode(),
-		"ingested": (&journalRec{Tag: jrecIngested, Slice: 0, Level: 2, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}}).encode(),
+		"expanded": (&journalRec{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}}).encode(),
+		"empty":    (&journalRec{Tag: jrecExpanded, Slice: 0, Level: 2}).encode(),
 		"gen":      (&journalRec{Tag: jrecGen, Gen: 9}).encode(),
 		"meta":     (&journalRec{Tag: jrecMeta, Body: []byte(`{"seq":1}`)}).encode(),
 		"level":    (&journalRec{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}}).encode(),
@@ -37,12 +37,12 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	recs := []journalRec{
 		{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")},
 		{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")},
-		{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777},
-		{Tag: jrecIngested, Slice: 0, Level: 2, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}},
+		{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}},
+		{Tag: jrecExpanded, Slice: 0, Level: 2},
 		{Tag: jrecGen, Gen: 9},
 		{Tag: jrecMeta, Body: []byte(`{"seq":1}`)},
 		{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}},
-		{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagIngested, CkptLevel: 6, Steps: 100,
+		{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagEverOwned, CkptLevel: 6, Steps: 100,
 			Fresh: 7, Digest: explore.Fingerprint{3, 4}, Reassigns: 2, Body: []byte("ckpt")},
 		{Tag: jrecRetained, Level: 2, From: 0, To: 1, Body: []byte("retained")},
 	}

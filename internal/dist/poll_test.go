@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/explore"
 )
 
 // ownedSlices lists the slice ids a poll answer leases, ascending.
@@ -71,8 +69,8 @@ func TestGrantGraceSpreadsFirstSlices(t *testing.T) {
 }
 
 // TestParkedPollWakesOnBarrierPost: a poll with nothing to do parks at the
-// coordinator, and the post that gives it work — the peer's expand-done
-// closing the expand phase — answers it at once, not at the beat.
+// coordinator, and the post that gives it work — the peer's mark closing
+// the level — answers it at once, not at the beat.
 func TestParkedPollWakesOnBarrierPost(t *testing.T) {
 	tr := newTestRun(t, 3, 2, 4, 10000) // a 2 s beat
 	ctx := context.Background()
@@ -88,7 +86,7 @@ func TestParkedPollWakesOnBarrierPost(t *testing.T) {
 	if len(ra.Slices) != 1 || len(rb.Slices) != 1 {
 		t.Fatalf("first polls leased %v and %v, want one slice each", ownedSlices(ra), ownedSlices(rb))
 	}
-	if err := a.postExpanded(ctx, ra.Slices[0].Slice, 0, 1); err != nil {
+	if err := a.postExpanded(ctx, ra.Slices[0].Slice, 0, levelMark{Steps: 1, Fresh: 1}); err != nil {
 		t.Fatal(err)
 	}
 	type answer struct {
@@ -107,7 +105,7 @@ func TestParkedPollWakesOnBarrierPost(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	posted := time.Now()
-	if err := b.postExpanded(ctx, rb.Slices[0].Slice, 0, 1); err != nil {
+	if err := b.postExpanded(ctx, rb.Slices[0].Slice, 0, levelMark{Steps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	r := <-got
@@ -117,8 +115,8 @@ func TestParkedPollWakesOnBarrierPost(t *testing.T) {
 	if lag := r.at.Sub(posted); lag > 100*time.Millisecond {
 		t.Fatalf("parked poll answered %v after the post that gave it work", lag)
 	}
-	if r.resp.Phase != phaseIngest || !r.resp.hasWork() {
-		t.Fatalf("woken poll answered %+v, want ingest work", r.resp)
+	if r.resp.Level != 1 || !r.resp.hasWork() {
+		t.Fatalf("woken poll answered %+v, want level 1 work", r.resp)
 	}
 }
 
@@ -138,7 +136,7 @@ func TestParkedWorkerKeepsLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	mine := ra.Slices[0]
-	if err := a.postExpanded(ctx, mine.Slice, 0, 1); err != nil {
+	if err := a.postExpanded(ctx, mine.Slice, 0, levelMark{Steps: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -198,7 +196,7 @@ func TestCancelledPollReturnsPromptly(t *testing.T) {
 	if len(resp.Slices) != 1 {
 		t.Fatalf("first poll leased %v", ownedSlices(resp))
 	}
-	if err := c.expanded("w", resp.Slices[0].Slice, 0, 1); err != nil {
+	if err := c.expanded("w", resp.Slices[0].Slice, 0, levelMark{Steps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
@@ -244,15 +242,15 @@ func TestCancelledPollReturnsPromptly(t *testing.T) {
 // answers every parked poll with Done — the worker whose slice is already
 // through the barrier and the one holding no slice at all.
 func TestRunCompletionWakesParkedPolls(t *testing.T) {
-	tr := newTestRun(t, 3, 2, 1, 10000) // depth 1: closing level 0 ends the run
+	tr := newTestRun(t, 3, 2, 1, 10000) // depth 1: closing level 1 ends the run
 	c := tr.coord
 	ctx := context.Background()
 	sa := c.poll(ctx, "a").Slices[0].Slice
 	sb := c.poll(ctx, "b").Slices[0].Slice
 	for _, post := range []func() error{
-		func() error { return c.expanded("a", sa, 0, 1) },
-		func() error { return c.expanded("b", sb, 0, 1) },
-		func() error { return c.ingested("a", sa, 0, 0, explore.Fingerprint{}) },
+		func() error { return c.expanded("a", sa, 0, levelMark{Steps: 1, Fresh: 1}) },
+		func() error { return c.expanded("b", sb, 0, levelMark{Steps: 1}) },
+		func() error { return c.expanded("a", sa, 1, levelMark{Fresh: 1}) },
 	} {
 		if err := post(); err != nil {
 			t.Fatal(err)
@@ -268,7 +266,7 @@ func TestRunCompletionWakesParkedPolls(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	posted := time.Now()
-	if err := c.ingested("b", sb, 0, 0, explore.Fingerprint{}); err != nil {
+	if err := c.expanded("b", sb, 1, levelMark{}); err != nil {
 		t.Fatal(err)
 	}
 	for range 2 {

@@ -3,17 +3,23 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/explore"
 	"repro/internal/faults"
+	"repro/internal/model"
 )
 
 // corruptNewestSnapshot flips a byte in the middle of the newest snapshot
@@ -205,7 +211,7 @@ func TestRecoveryWindowGatesAndStashes(t *testing.T) {
 	// second slice inside the grant grace, so lease both directly.
 	c1.mu.Lock()
 	for s := range c1.slices {
-		c1.assignLocked(s, "w", time.Now())
+		c1.assignLocked(s, "w")
 	}
 	c1.heartbeatLocked("w", time.Now())
 	c1.mu.Unlock()
@@ -382,5 +388,128 @@ func TestRecoverFromSnapshotCorruption(t *testing.T) {
 	got := tr2.runWorkers(t, tr2.worker("c", 3, nil))
 	if want := tr2.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("witness after snapshot-corruption fallback differs:\n--- recovered\n%s--- sequential\n%s", got, want)
+	}
+}
+
+// TestAttachJournalRefusesOtherFormat: a journal whose snapshot carries no
+// format — the two-phase coordinator's, whose levels list at level L
+// already holds depth L — is refused with both formats named, before the
+// coordinator enters the recovery window: replaying it would count a depth
+// twice.
+func TestAttachJournalRefusesOtherFormat(t *testing.T) {
+	dir := t.TempDir()
+	tr := newTestRun(t, 3, 2, 4, 5000)
+	meta, err := json.Marshal(journalMeta{Level: 1, Spec: tr.spec, RootFP: [2]uint64(tr.coord.rootFP), Levels: 1, Slices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(meta, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "format")
+	if meta, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	old := openTestJournal(t, dir, nil)
+	if err := old.attachFresh([][]byte{
+		(&journalRec{Tag: jrecMeta, Body: meta}).encode(),
+		(&journalRec{Tag: jrecLevel, Fresh: 1, Digest: tr.coord.rootFP}).encode(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old.closeWAL()
+
+	j := openTestJournal(t, dir, nil)
+	if !j.Recovered() {
+		t.Fatal("journal with a snapshot in it recovered nothing")
+	}
+	err = tr.coord.AttachJournal(j)
+	if err == nil {
+		t.Fatal("journal without a format attached")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "format 0") || !strings.Contains(msg, fmt.Sprintf("format %d", journalFormat)) {
+		t.Fatalf("refusal %q does not name both formats", msg)
+	}
+	if st := tr.coord.Status(); st.Recovering || st.Level != 0 {
+		t.Fatalf("refused journal still moved the coordinator: %+v", st)
+	}
+}
+
+// TestMarkSurvivesRecovery: a slice marked before a coordinator crash
+// keeps its mark through Recover — it was posted after the slice's
+// checkpoint and chunks, so whoever owns the slice next can adopt it — and
+// finishing the run posts no chunk for that slice and level again.
+func TestMarkSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	tr1 := newTestRun(t, 3, 2, 6, 5000)
+	tr1.attachJournal(t, dir, nil)
+	ctx := context.Background()
+	// Mark level 0 of the root's slice, the one with children to ship.
+	rootSlice := explore.ShardOf(tr1.coord.rootFP, 2)
+	c1 := tr1.coord
+	c1.mu.Lock()
+	c1.assignLocked(rootSlice, "pre")
+	c1.mu.Unlock()
+	pre := tr1.worker("pre", 1, nil)
+	cl := newClient(tr1.srv.URL, pre.ID, pre.Seed)
+	resp, err := cl.poll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Slices) != 1 || resp.Slices[0].Slice != rootSlice {
+		t.Fatalf("pre leases %v, want only slice %d", ownedSlices(resp), rootSlice)
+	}
+	st, err := pre.adopt(ctx, cl, tr1.spec, c1.rootFP, resp.Slices[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := explore.NewExpander(model.NewPackedCodec(pre.Root), pre.Opts)
+	var fired bool
+	if err := pre.runLevel(ctx, cl, tr1.spec, x, rootSlice, st, 0, &fired); err != nil {
+		t.Fatal(err)
+	}
+	if len(c1.chunkSources(0, 0))+len(c1.chunkSources(0, 1)) == 0 {
+		t.Fatal("the marked slice shipped no chunk; the test would prove nothing")
+	}
+	tr1.srv.Close()
+
+	tr2 := newTestRun(t, 3, 2, 6, 5000)
+	tr2.attachJournal(t, dir, nil)
+	c2 := tr2.coord
+	c2.mu.Lock()
+	kept, level := c2.slices[rootSlice].expanded, c2.level
+	c2.mu.Unlock()
+	if !kept || level != 0 {
+		t.Fatalf("after Recover: level %d, slice %d marked %v; want level 0 with the mark kept", level, rootSlice, kept)
+	}
+	var mu sync.Mutex
+	var reposted []string
+	handler := c2.Handler()
+	tr2.srv.Close()
+	tr2.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/dist/chunk" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			if h, _, err := checkpoint.DecodeChunk(body); err == nil && h.Level == 0 && h.From == rootSlice {
+				mu.Lock()
+				reposted = append(reposted, fmt.Sprintf("%d->%d", h.From, h.To))
+				mu.Unlock()
+			}
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	t.Cleanup(tr2.srv.Close)
+	got := tr2.runWorkers(t, tr2.worker("post-a", 11, nil), tr2.worker("post-b", 12, nil))
+	if want := tr2.sequential(t); !bytes.Equal(got, want) {
+		t.Fatalf("witness after recovery differs:\n--- recovered\n%s--- sequential\n%s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reposted) != 0 {
+		t.Fatalf("level-0 chunks of the marked slice posted again after recovery: %v", reposted)
 	}
 }

@@ -5,20 +5,22 @@
 // explore.ShardOf; every configuration belongs to exactly one slice, and
 // the worker holding that slice's lease owns its visited set and frontier.
 // A coordinator (embedded in provesrv or `spacebound -coordinator`) grants
-// lease-based slice ownership, renews it on every worker request, runs a
-// two-phase barrier per BFS level, and aggregates per-level counts and
-// XOR-of-fingerprint digests into the run's witness. Workers expand their
-// frontier by witness-path replay, ship cross-slice children to the
-// coordinator as exchange chunks framed in the checksummed
-// checkpoint-segment format (internal/checkpoint.EncodeChunk — a torn or
-// corrupted chunk fails typed and is re-requested, never partially
-// ingested), and post per-slice checkpoints at level boundaries. When a
-// lease expires — crash, SIGKILL, or a stall injected via internal/faults
-// — the slice is regranted to a surviving worker, which rebuilds the
-// visited set and frontier from the slice's last checkpoint plus the
-// retained exchange chunks; every redo is deterministic, so the merged run
-// produces a witness byte-identical to an uninterrupted single-process
-// run's (SequentialWitness is that reference).
+// lease-based slice ownership, renews it on every worker request, runs one
+// barrier per BFS level, and aggregates per-level counts and
+// XOR-of-fingerprint digests into the run's witness. At each level a slice
+// owner ingests the previous level's exchange chunks addressed to it, posts
+// a slice checkpoint, expands the frontier by witness-path replay, ships
+// cross-slice children to the coordinator as exchange chunks framed in the
+// checksummed checkpoint-segment format (internal/checkpoint.EncodeChunk —
+// a torn or corrupted chunk fails typed and is re-requested, never
+// partially ingested), and posts one barrier mark carrying its step count
+// and its frontier's size and digest. When a lease expires — crash,
+// SIGKILL, or a stall injected via internal/faults — the slice is
+// regranted to a surviving worker, which rebuilds the visited set and
+// frontier from the slice's last checkpoint plus the retained exchange
+// chunks; every redo is deterministic, so the merged run produces a
+// witness byte-identical to an uninterrupted single-process run's
+// (SequentialWitness is that reference).
 package dist
 
 import (

@@ -15,11 +15,11 @@ import (
 
 // Worker is one shard-worker process (or goroutine, in tests). It polls
 // the coordinator for slice leases and drives every slice it holds through
-// the per-level expand/ingest protocol. It never sleeps between polls: a
-// poll with nothing for it to do parks at the coordinator until the
-// barrier moves. All state is private to the single Run goroutine; crash
-// tolerance comes from the coordinator's checkpoints and retained chunks,
-// not from anything the worker persists locally.
+// the per-level protocol: catch up, checkpoint, expand, mark. It never
+// sleeps between polls: a poll with nothing for it to do parks at the
+// coordinator until the barrier moves. All state is private to the single
+// Run goroutine; crash tolerance comes from the coordinator's checkpoints
+// and retained chunks, not from anything the worker persists locally.
 type Worker struct {
 	ID    string
 	URL   string // coordinator base URL, e.g. http://127.0.0.1:9131
@@ -36,20 +36,10 @@ type Worker struct {
 // sliceState is the worker's in-memory state for one leased slice.
 type sliceState struct {
 	epoch    int
-	level    int // the level st.frontier sits at
+	level    int // the depth st.frontier sits at
 	lastCkpt int // newest level this worker posted/loaded a checkpoint for
 	visited  map[explore.Fingerprint]struct{}
 	frontier []Entry
-
-	// Cached per-level results, so a repost after the coordinator cleared
-	// our barrier marks (revoke + regrant back to us) does not recompute.
-	expandLevel int // level outgoing/steps are valid for, -1 none
-	outgoing    map[int][]Entry
-	steps       int64
-	ingestLevel int // level next/fresh/digest are valid for, -1 none
-	next        []Entry
-	fresh       int64
-	digest      explore.Fingerprint
 }
 
 // Run drives the worker until the run completes, the context is
@@ -83,93 +73,53 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		}
 		// Reconcile leases against the poll's authoritative list: drop
-		// slices we no longer hold, adopt new grants (and regrants whose
-		// epoch moved — our memory of those is untrustworthy).
-		owned := make(map[int]pollSlice, len(resp.Slices))
-		ids := make([]int, 0, len(resp.Slices))
+		// slices we no longer hold, then do the level for each slice still
+		// missing its mark, rebuilding first the ones that are new to us or
+		// whose epoch moved — our memory of those is untrustworthy.
+		owned := make(map[int]bool, len(resp.Slices))
 		for _, ps := range resp.Slices {
-			owned[ps.Slice] = ps
-			ids = append(ids, ps.Slice)
+			owned[ps.Slice] = true
 		}
-		sort.Ints(ids)
 		for s := range states {
-			if _, ok := owned[s]; !ok {
+			if !owned[s] {
 				delete(states, s)
 			}
 		}
-		drop := func(s int, err error) error {
-			if errors.Is(err, ErrLeaseLost) {
-				delete(states, s)
-				w.Scope.Event("dist_worker_lease_lost")
-				return nil
-			}
-			return err
-		}
-		for _, s := range ids {
-			ps := owned[s]
-			st, ok := states[s]
-			if !ok || st.epoch != ps.Epoch {
-				st, err = w.adopt(ctx, cl, spec, rootFP, s, ps, resp.Level)
-				if err != nil {
-					if err := drop(s, err); err != nil {
-						return err
-					}
-					continue
-				}
-				states[s] = st
-			}
-			// Promote a slice whose ingest closed the previous level.
-			if st.level == resp.Level-1 {
-				if st.ingestLevel != st.level {
-					return fmt.Errorf("dist: slice %d at level %d with no ingest result while run is at %d", s, st.level, resp.Level)
-				}
-				st.frontier = st.next
-				st.level = resp.Level
-				st.next = nil
-				st.expandLevel, st.ingestLevel = -1, -1
-			} else if st.level != resp.Level {
-				return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, resp.Level)
-			}
-		}
-		for _, s := range ids {
-			st, ok := states[s]
-			if !ok {
+		for _, ps := range resp.Slices {
+			if ps.Expanded {
 				continue
 			}
-			ps := owned[s]
+			st, ok := states[ps.Slice]
 			var err error
-			if !ps.due(resp.Phase) {
-				continue
+			if !ok || st.epoch != ps.Epoch {
+				st, err = w.adopt(ctx, cl, spec, rootFP, ps)
 			}
-			if resp.Phase == phaseExpand {
-				err = w.expand(ctx, cl, spec, x, s, st, resp.Level, &faultFired)
-			} else {
-				err = w.ingest(ctx, cl, s, st, resp.Level)
+			if err == nil {
+				states[ps.Slice] = st
+				err = w.runLevel(ctx, cl, spec, x, ps.Slice, st, resp.Level, &faultFired)
 			}
-			if err != nil {
-				if err := drop(s, err); err != nil {
-					return err
-				}
+			if errors.Is(err, ErrLeaseLost) {
+				delete(states, ps.Slice)
+				w.Scope.Event("dist_worker_lease_lost")
+			} else if err != nil {
+				return err
 			}
 		}
 	}
 }
 
 // adopt builds the local state for a freshly granted (or epoch-bumped)
-// slice: load its last checkpoint — or seed from the root at level 0 —
-// then catch up to the run's level by replaying the retained exchange
-// chunks, and post the start-of-level checkpoint so the next owner after
-// us starts no further back than we did.
-func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explore.Fingerprint, s int, ps pollSlice, level int) (*sliceState, error) {
-	st := &sliceState{epoch: ps.Epoch, lastCkpt: -1, expandLevel: -1, ingestLevel: -1}
-	st.visited = make(map[explore.Fingerprint]struct{})
+// slice from its last checkpoint, or, for a slice that has none yet, from
+// the root: the root's own slice starts with it as the level-0 frontier.
+func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explore.Fingerprint, ps pollSlice) (*sliceState, error) {
+	st := &sliceState{epoch: ps.Epoch, lastCkpt: -1, visited: make(map[explore.Fingerprint]struct{})}
 	if ps.HasCkpt {
-		ck, err := cl.getCheckpoint(ctx, s)
+		ck, err := cl.getCheckpoint(ctx, ps.Slice)
 		if err != nil {
 			return nil, err
 		}
-		if ck.Slice != s || ck.FPVersion != spec.FPVersion {
-			return nil, fmt.Errorf("dist: checkpoint for slice %d is slice %d v%d", s, ck.Slice, ck.FPVersion)
+		if ck.Slice != ps.Slice || ck.FPVersion != spec.FPVersion {
+			return nil, fmt.Errorf("dist: checkpoint for slice %d is slice %d v%d", ps.Slice, ck.Slice, ck.FPVersion)
 		}
 		for _, fp := range ck.Visited {
 			st.visited[fp] = struct{}{}
@@ -177,36 +127,47 @@ func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explor
 		st.frontier = ck.Frontier
 		st.level = ck.Level
 		st.lastCkpt = ck.Level
-	} else {
-		if level != 0 {
-			return nil, fmt.Errorf("dist: slice %d granted at level %d with no checkpoint", s, level)
-		}
-		if explore.ShardOf(rootFP, spec.Slices) == s {
-			st.visited[rootFP] = struct{}{}
-			st.frontier = []Entry{{FP: rootFP}}
-		}
-	}
-	if st.level < level {
-		if st.level != level-1 {
-			return nil, fmt.Errorf("dist: slice %d checkpoint at level %d is too old for level %d", s, st.level, level)
-		}
-		// Catch-up: the previous level's chunk set is complete and
-		// retained, so ingesting it reproduces — byte for byte — the
-		// frontier the dead owner would have carried into this level.
-		next, _, _, err := w.ingestChunks(ctx, cl, s, st, st.level)
-		if err != nil {
-			return nil, err
-		}
-		st.frontier = next
-		st.level = level
-	}
-	if st.lastCkpt < st.level {
-		if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
-			return nil, err
-		}
+	} else if explore.ShardOf(rootFP, spec.Slices) == ps.Slice {
+		st.visited[rootFP] = struct{}{}
+		st.frontier = []Entry{{FP: rootFP}}
 	}
 	w.Scope.Event("dist_worker_adopted")
 	return st, nil
+}
+
+// runLevel does slice s's whole share of the level, in the order that
+// makes its mark adoptable by any later owner: catch the frontier up from
+// the previous level's chunks, post the start-of-level checkpoint, expand
+// the frontier and post every child chunk, and only then post the mark.
+// At Spec.MaxDepth the frontier is counted, never expanded.
+func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, x *explore.Expander, s int, st *sliceState, level int, faultFired *bool) error {
+	if st.level == level-1 {
+		if err := w.catchUp(ctx, cl, s, st); err != nil {
+			return err
+		}
+	}
+	if st.level != level {
+		return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, level)
+	}
+	var m levelMark
+	if spec.MaxDepth == 0 || level < spec.MaxDepth {
+		if st.lastCkpt < level {
+			if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
+				return err
+			}
+		}
+		steps, err := w.expand(ctx, cl, spec, x, s, st, faultFired)
+		if err != nil {
+			return err
+		}
+		m.Steps = steps
+	}
+	m.Fresh = int64(len(st.frontier))
+	for _, e := range st.frontier {
+		m.Digest[0] ^= e.FP[0]
+		m.Digest[1] ^= e.FP[1]
+	}
+	return cl.postExpanded(ctx, s, level, m)
 }
 
 // postCheckpoint posts the slice's start-of-level state.
@@ -228,64 +189,53 @@ func (w *Worker) postCheckpoint(ctx context.Context, cl *client, spec Spec, s in
 	return nil
 }
 
-// expand runs the slice's expand phase at level: expand every frontier
-// entry, bucketing the children by destination slice; then ship the
-// buckets as verified chunks and post the expand barrier mark with the
-// transition count.
-func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, x *explore.Expander, s int, st *sliceState, level int, faultFired *bool) error {
-	if st.lastCkpt < level {
-		if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
-			return err
-		}
-	}
-	if w.Fault != nil && w.Fault.Kind == "stall" && w.Fault.At(level) && !*faultFired {
+// expand expands every frontier entry of the slice, buckets the children
+// by destination slice, and ships the buckets as verified chunks. It
+// returns the number of transitions taken.
+func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, x *explore.Expander, s int, st *sliceState, faultFired *bool) (int64, error) {
+	if w.Fault != nil && w.Fault.Kind == "stall" && w.Fault.At(st.level) && !*faultFired {
 		*faultFired = true
 		w.Fault.Trigger()
 	}
-	if st.expandLevel != level {
-		heartbeatEvery := time.Duration(spec.LeaseMS) * time.Millisecond / 5
-		lastBeat := time.Now()
-		outgoing := make(map[int][]Entry)
-		var steps int64
-		for i := range st.frontier {
-			n, err := w.expandEntry(x, &st.frontier[i], spec.Slices, outgoing)
-			if err != nil {
-				return err
-			}
-			steps += n
-			// A big level must not cost us the lease mid-expansion.
-			if time.Since(lastBeat) > heartbeatEvery {
-				if err := cl.heartbeat(ctx); err != nil {
-					return err
-				}
-				lastBeat = time.Now()
-			}
+	heartbeatEvery := time.Duration(spec.LeaseMS) * time.Millisecond / 5
+	lastBeat := time.Now()
+	outgoing := make(map[int][]Entry)
+	var steps int64
+	for i := range st.frontier {
+		n, err := w.expandEntry(x, &st.frontier[i], spec.Slices, outgoing)
+		if err != nil {
+			return 0, err
 		}
-		st.outgoing = outgoing
-		st.steps = steps
-		st.expandLevel = level
+		steps += n
+		// A big level must not cost us the lease mid-expansion.
+		if time.Since(lastBeat) > heartbeatEvery {
+			if err := cl.heartbeat(ctx); err != nil {
+				return 0, err
+			}
+			lastBeat = time.Now()
+		}
 	}
-	dests := make([]int, 0, len(st.outgoing))
-	for d := range st.outgoing {
+	dests := make([]int, 0, len(outgoing))
+	for d := range outgoing {
 		dests = append(dests, d)
 	}
 	sort.Ints(dests)
 	for i, d := range dests {
-		body, err := EncodeFrontierChunk(level, s, d, st.outgoing[d])
+		body, err := EncodeFrontierChunk(st.level, s, d, outgoing[d])
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := cl.putChunk(ctx, body); err != nil {
-			return err
+			return 0, err
 		}
 		// A scripted kill fires after the first chunk lands: the torn
 		// middle of an exchange, the worst moment to die.
-		if i == 0 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(level) && !*faultFired {
+		if i == 0 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(st.level) && !*faultFired {
 			*faultFired = true
 			w.Fault.Trigger()
 		}
 	}
-	return cl.postExpanded(ctx, s, level, st.steps)
+	return steps, nil
 }
 
 // expandEntry replays e's path once, packs the configuration it reaches,
@@ -321,25 +271,24 @@ func (w *Worker) expandEntry(x *explore.Expander, e *Entry, slices int, outgoing
 	return int64(len(moves)), nil
 }
 
-// ingestChunks fetches and ingests every retained chunk addressed to slice
-// s at the level, in from-slice order (ascending — the order is part of
-// the frontier's byte determinism), deduplicating against the slice's
-// visited set. Returns the fresh entries in ingest order with their count
-// and XOR digest.
-func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceState, level int) ([]Entry, int64, explore.Fingerprint, error) {
-	froms, err := cl.chunkSources(ctx, level, s)
+// catchUp moves the slice one level on: it fetches every retained chunk
+// addressed to slice s at st.level, in from-slice order (ascending — the
+// order is part of the frontier's byte determinism), and makes the entries
+// its visited set has not seen the new frontier. The level's chunk set is
+// complete and retained, so this reproduces, byte for byte, the frontier
+// whoever held the slice then would have carried into the next level.
+func (w *Worker) catchUp(ctx context.Context, cl *client, s int, st *sliceState) error {
+	froms, err := cl.chunkSources(ctx, st.level, s)
 	if err != nil {
-		return nil, 0, explore.Fingerprint{}, err
+		return err
 	}
 	sort.Ints(froms)
 	retries := w.Scope.Counter("dist_chunk_retries")
 	var next []Entry
-	var fresh int64
-	var digest explore.Fingerprint
 	for _, from := range froms {
-		entries, err := cl.getChunk(ctx, level, from, s, func() { retries.Add(1) })
+		entries, err := cl.getChunk(ctx, st.level, from, s, func() { retries.Add(1) })
 		if err != nil {
-			return nil, 0, explore.Fingerprint{}, err
+			return err
 		}
 		for _, e := range entries {
 			if _, seen := st.visited[e.FP]; seen {
@@ -347,24 +296,9 @@ func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceS
 			}
 			st.visited[e.FP] = struct{}{}
 			next = append(next, e)
-			fresh++
-			digest[0] ^= e.FP[0]
-			digest[1] ^= e.FP[1]
 		}
 	}
-	return next, fresh, digest, nil
-}
-
-// ingest runs the slice's ingest phase at level and posts the barrier mark
-// with the fresh count and digest the coordinator folds into the witness.
-func (w *Worker) ingest(ctx context.Context, cl *client, s int, st *sliceState, level int) error {
-	if st.ingestLevel != level {
-		next, fresh, digest, err := w.ingestChunks(ctx, cl, s, st, level)
-		if err != nil {
-			return err
-		}
-		st.next, st.fresh, st.digest = next, fresh, digest
-		st.ingestLevel = level
-	}
-	return cl.postIngested(ctx, s, level, st.fresh, st.digest)
+	st.frontier = next
+	st.level++
+	return nil
 }

@@ -60,14 +60,13 @@ func (p *Progress) Checkpoint() {
 }
 
 // ShardHealth is one shard slice's liveness row on /progress: who leases
-// it, where its owner is in the level protocol, how stale the lease is
-// (-1 when unowned), and how many times the slice has been reassigned
-// after a crash or stall. Populated only by distributed runs.
+// it, the run's level, how stale the lease is (-1 when unowned), and how
+// many times the slice has been reassigned after a crash or stall.
+// Populated only by distributed runs.
 type ShardHealth struct {
 	Slice       int     `json:"slice"`
 	Worker      string  `json:"worker,omitempty"`
 	Level       int     `json:"level"`
-	Phase       string  `json:"phase"`
 	LeaseAgeSec float64 `json:"lease_age_sec"`
 	Reassigns   int     `json:"reassigns"`
 }
