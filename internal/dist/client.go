@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -99,7 +98,7 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 			lastErr = err
 			continue
 		}
-		respBody, readErr := io.ReadAll(resp.Body)
+		respBody, readErr := readBody(nil, resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		switch {
 		case resp.StatusCode == http.StatusConflict:
@@ -115,6 +114,8 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 			continue
 		case resp.StatusCode >= 400:
 			return nil, nil, errTerminal{fmt.Errorf("dist: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(respBody))}
+		case errors.As(readErr, new(*http.MaxBytesError)):
+			return nil, nil, errTerminal{fmt.Errorf("dist: %s %s: %w", method, path, readErr)}
 		case readErr != nil:
 			lastErr = fmt.Errorf("dist: %s %s: reading body: %w", method, path, readErr)
 			continue

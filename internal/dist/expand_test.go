@@ -10,6 +10,16 @@ import (
 	"repro/internal/model"
 )
 
+// Replay rebuilds the entry's configuration by applying its path to root
+// through model.Apply: the reference the worker's packed replay is held to.
+func (e *Entry) Replay(root model.Config) model.Config {
+	c := root
+	for _, mv := range e.Path {
+		c = model.Apply(c, model.UnpackMove(mv))
+	}
+	return c
+}
+
 // referenceExpand is the exchange contract in its plainest form: replay
 // each entry's path from the root, take every move explore.Moves lists, apply
 // it, fingerprint the child, and bucket the child under its owning slice
@@ -101,4 +111,94 @@ func TestExpandChunkBytesMatchReference(t *testing.T) {
 	if level < 10 {
 		t.Fatalf("only %d levels expanded; the run should be deeper", level)
 	}
+}
+
+// levelFrontier expands a DiskRace run of n processes level by level
+// through Worker.expandEntry, deduplicating in ingest order, and returns
+// the worker, its Expander and the frontier at depth.
+func levelFrontier(tb testing.TB, n, slices, depth int) (*Worker, *explore.Expander, []Entry) {
+	tb.Helper()
+	run, err := NewRun(core.ProtocolDiskRace, n, slices, depth, time.Second)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &Worker{Root: run.Root, Procs: run.Procs, Opts: run.Opts}
+	x := explore.NewExpander(model.NewPackedCodec(run.Root), run.Opts)
+	rootFP := run.Opts.Fingerprint(run.Root)
+	frontier := []Entry{{FP: rootFP}}
+	visited := map[explore.Fingerprint]bool{rootFP: true}
+	for level := 0; level < depth; level++ {
+		out := make(map[int][]Entry)
+		for i := range frontier {
+			if _, err := w.expandEntry(x, &frontier[i], slices, out); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		var next []Entry
+		for dest := 0; dest < slices; dest++ {
+			for _, e := range out[dest] {
+				if !visited[e.FP] {
+					visited[e.FP] = true
+					next = append(next, e)
+				}
+			}
+		}
+		frontier = next
+	}
+	if len(frontier) == 0 {
+		tb.Fatalf("DiskRace n=%d has no frontier at depth %d", n, depth)
+	}
+	return w, x, frontier
+}
+
+// expandLevel expands every frontier entry into outgoing, reusing its
+// buckets, and returns the transitions taken.
+func expandLevel(tb testing.TB, w *Worker, x *explore.Expander, frontier []Entry, slices int, outgoing map[int][]Entry) int64 {
+	for d := range outgoing {
+		outgoing[d] = outgoing[d][:0]
+	}
+	var steps int64
+	for i := range frontier {
+		n, err := w.expandEntry(x, &frontier[i], slices, outgoing)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		steps += n
+	}
+	return steps
+}
+
+// TestExpandEntryAllocs gates the shard worker's per-transition cost: with
+// the stepper memo and codec warm, expanding a DiskRace n=4 level replays
+// each entry's path through the packed Replayer and carves child paths
+// from the slab, so the whole level costs a handful of allocations, not
+// several per transition.
+func TestExpandEntryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	const slices = 2
+	w, x, frontier := levelFrontier(t, 4, slices, 10)
+	outgoing := make(map[int][]Entry)
+	steps := expandLevel(t, w, x, frontier, slices, outgoing)
+	allocs := testing.AllocsPerRun(5, func() { expandLevel(t, w, x, frontier, slices, outgoing) })
+	if perStep := allocs / float64(steps); perStep >= 0.01 {
+		t.Fatalf("expanding %d entries (%d transitions) took %.0f allocations: %.4f per transition, want < 0.01", len(frontier), steps, allocs, perStep)
+	}
+	t.Logf("%d entries, %d transitions, %.1f allocations per level", len(frontier), steps, allocs)
+}
+
+// BenchmarkWorkerExpand expands one mid-depth DiskRace n=4 level through
+// Worker.expandEntry, as a shard worker does once per level.
+func BenchmarkWorkerExpand(b *testing.B) {
+	const slices = 2
+	w, x, frontier := levelFrontier(b, 4, slices, 12)
+	outgoing := make(map[int][]Entry)
+	var steps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steps = expandLevel(b, w, x, frontier, slices, outgoing)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps*int64(b.N)), "ns/transition")
 }

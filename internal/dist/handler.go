@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,10 +10,30 @@ import (
 	"strconv"
 )
 
-// maxChunkBody bounds a single uploaded chunk or checkpoint. Frontier
-// levels on the protocols this repo explores are far below this; the limit
-// exists so a confused client cannot balloon coordinator memory.
+// maxChunkBody bounds a single uploaded chunk or checkpoint, and every
+// response body a worker reads. A slice checkpoint reaches it at about 4M
+// visited fingerprints; the limit exists so a confused peer cannot balloon
+// the reader's memory.
 const maxChunkBody = 64 << 20
+
+// readBody reads a request or response body of at most maxChunkBody bytes
+// into a buffer presized from its declared length. A longer body fails
+// with an error naming the limit and wrapping *http.MaxBytesError, which
+// distError answers with 413. w is the server's ResponseWriter, or nil on
+// the client side.
+func readBody(w http.ResponseWriter, body io.ReadCloser, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	// MinRead of headroom lets the final read see EOF without growing.
+	buf.Grow(int(min(max(contentLength, 0), maxChunkBody)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, body, maxChunkBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("dist: body exceeds the %d MiB limit: %w", maxChunkBody>>20, err)
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // Handler serves the coordinator's HTTP surface under /dist/. The patterns
 // are registered with the /dist/ prefix built in, so the same handler
@@ -84,14 +105,18 @@ func distWriteJSON(w http.ResponseWriter, status int, v any) {
 
 // distError maps coordinator errors onto status codes: lost leases are
 // 409 (the worker must drop the slice, not retry verbatim — and never
-// exit), corruption is 400 (the payload is bad however often it is
-// resent), everything else is also 400 — the coordinator's in-memory
-// handling has no transient 5xx failures.
+// exit), an oversized body is 413, corruption is 400 (the payload is bad
+// however often it is resent), everything else is also 400 — the
+// coordinator's in-memory handling has no transient 5xx failures.
 func distError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var notOwner errNotOwner
-	if errors.As(err, &notOwner) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &notOwner):
 		status = http.StatusConflict
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
 	distWriteJSON(w, status, map[string]string{"error": err.Error()})
 }
@@ -157,7 +182,7 @@ func (c *Coordinator) handlePutCheckpoint(w http.ResponseWriter, r *http.Request
 		distError(w, err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxChunkBody))
+	body, err := readBody(w, r.Body, r.ContentLength)
 	if err != nil {
 		distError(w, fmt.Errorf("dist: reading checkpoint body: %w", err))
 		return
@@ -191,7 +216,7 @@ func (c *Coordinator) handlePutChunk(w http.ResponseWriter, r *http.Request) {
 		distError(w, err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxChunkBody))
+	body, err := readBody(w, r.Body, r.ContentLength)
 	if err != nil {
 		distError(w, fmt.Errorf("dist: reading chunk body: %w", err))
 		return

@@ -9,7 +9,9 @@
 // barrier per BFS level, and aggregates per-level counts and
 // XOR-of-fingerprint digests into the run's witness. At each level a slice
 // owner ingests the previous level's exchange chunks addressed to it, posts
-// a slice checkpoint, expands the frontier by witness-path replay, ships
+// a slice checkpoint, expands the frontier — each entry's packed record
+// rebuilt by stepping its witness path through explore.Replayer, which
+// shares the prefix consecutive paths have in common — ships
 // cross-slice children to the coordinator as exchange chunks framed in the
 // checksummed checkpoint-segment format (internal/checkpoint.EncodeChunk —
 // a torn or corrupted chunk fails typed and is re-requested, never
@@ -32,7 +34,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/explore"
-	"repro/internal/model"
 )
 
 // Spec describes a distributed run. The coordinator serves it at
@@ -56,9 +57,10 @@ type Spec struct {
 // Entry is one frontier configuration in flight between processes: its
 // canonical fingerprint plus its witness path from the root as packed
 // moves (model.PackMove). Configurations themselves are never serialised —
-// model.Config holds State interface values — so a receiver rebuilds the
-// configuration by replaying the path from the root, the same philosophy
-// the checkpoint layer uses for frontier snapshots.
+// model.Config holds State interface values, and packed records carry
+// process-local dictionary ids — so a receiver rebuilds the packed record
+// by stepping the path from its own packed root (explore.Replayer), the
+// same philosophy the checkpoint layer uses for frontier snapshots.
 type Entry struct {
 	FP   explore.Fingerprint
 	Path []uint32
@@ -133,15 +135,6 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 		return nil, fmt.Errorf("dist: %d trailing bytes after entries", len(body))
 	}
 	return out, nil
-}
-
-// Replay rebuilds the entry's configuration by applying its path to root.
-func (e *Entry) Replay(root model.Config) model.Config {
-	c := root
-	for _, mv := range e.Path {
-		c = model.Apply(c, model.UnpackMove(mv))
-	}
-	return c
 }
 
 // chunkKind is the Kind of every frontier exchange chunk.

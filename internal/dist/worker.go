@@ -31,14 +31,25 @@ type Worker struct {
 	Fault *faults.ShardFault
 	Scope *obs.Scope
 	Seed  int64
+
+	// replay rebuilds frontier entries' records through the Expander Run
+	// built; paths is the append-only slab children's paths are carved
+	// from. Both belong to the Run goroutine.
+	replay *explore.Replayer
+	paths  []uint32
 }
+
+// pathSlab is the length, in moves, of each block of Worker.paths: big
+// enough that carving child paths costs an allocation per thousands of
+// transitions, small enough that a finished level's blocks are freed soon.
+const pathSlab = 1 << 16
 
 // sliceState is the worker's in-memory state for one leased slice.
 type sliceState struct {
 	epoch    int
 	level    int // the depth st.frontier sits at
 	lastCkpt int // newest level this worker posted/loaded a checkpoint for
-	visited  map[explore.Fingerprint]struct{}
+	visited  *explore.FPSet
 	frontier []Entry
 }
 
@@ -58,9 +69,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	if spec.Slices < 1 {
 		return fmt.Errorf("dist: spec has %d slices", spec.Slices)
 	}
-	// The codec's dictionary ids are local to this Run; exchange chunks
-	// carry fingerprints and move paths, never packed records.
+	// The codec's dictionary ids are local to this Run — exchange chunks
+	// carry fingerprints and move paths, never packed records — so a
+	// replayer left by an earlier Run is stale.
 	x := explore.NewExpander(model.NewPackedCodec(w.Root), w.Opts)
+	w.replay = nil
 	rootFP := w.Opts.Fingerprint(w.Root)
 	states := make(map[int]*sliceState)
 	var faultFired bool
@@ -112,7 +125,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // slice from its last checkpoint, or, for a slice that has none yet, from
 // the root: the root's own slice starts with it as the level-0 frontier.
 func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explore.Fingerprint, ps pollSlice) (*sliceState, error) {
-	st := &sliceState{epoch: ps.Epoch, lastCkpt: -1, visited: make(map[explore.Fingerprint]struct{})}
+	st := &sliceState{epoch: ps.Epoch, lastCkpt: -1, visited: explore.NewLocalFPSet()}
 	if ps.HasCkpt {
 		ck, err := cl.getCheckpoint(ctx, ps.Slice)
 		if err != nil {
@@ -122,13 +135,13 @@ func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explor
 			return nil, fmt.Errorf("dist: checkpoint for slice %d is slice %d v%d", ps.Slice, ck.Slice, ck.FPVersion)
 		}
 		for _, fp := range ck.Visited {
-			st.visited[fp] = struct{}{}
+			st.visited.Add(fp)
 		}
 		st.frontier = ck.Frontier
 		st.level = ck.Level
 		st.lastCkpt = ck.Level
 	} else if explore.ShardOf(rootFP, spec.Slices) == ps.Slice {
-		st.visited[rootFP] = struct{}{}
+		st.visited.Add(rootFP)
 		st.frontier = []Entry{{FP: rootFP}}
 	}
 	w.Scope.Event("dist_worker_adopted")
@@ -172,12 +185,7 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, x *explore
 
 // postCheckpoint posts the slice's start-of-level state.
 func (w *Worker) postCheckpoint(ctx context.Context, cl *client, spec Spec, s int, st *sliceState) error {
-	ck := SliceCheckpoint{Slice: s, Level: st.level, FPVersion: spec.FPVersion}
-	ck.Visited = make([]explore.Fingerprint, 0, len(st.visited))
-	for fp := range st.visited {
-		ck.Visited = append(ck.Visited, fp)
-	}
-	ck.Frontier = st.frontier
+	ck := SliceCheckpoint{Slice: s, Level: st.level, FPVersion: spec.FPVersion, Visited: st.visited.Dump(), Frontier: st.frontier}
 	body, err := ck.Encode()
 	if err != nil {
 		return err
@@ -238,13 +246,20 @@ func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, x *explore.E
 	return steps, nil
 }
 
-// expandEntry replays e's path once, packs the configuration it reaches,
-// and appends each child to outgoing under its owning slice, in move
-// order. It returns the number of transitions taken. The order is part of
-// the chunks' byte determinism: a redone expansion must post identical
-// bytes.
+// expandEntry rebuilds e's packed record by replaying its path through
+// x, reusing the prefix it shares with the previous entry's path, and
+// appends each child to outgoing under its owning slice, in move order.
+// It returns the number of transitions taken. The order is part of the
+// chunks' byte determinism: a redone expansion must post identical bytes.
+// Every call must pass the same Expander.
 func (w *Worker) expandEntry(x *explore.Expander, e *Entry, slices int, outgoing map[int][]Entry) (int64, error) {
-	rec, err := x.Pack(e.Replay(w.Root))
+	if w.replay == nil {
+		var err error
+		if w.replay, err = explore.NewReplayer(x, w.Root); err != nil {
+			return 0, err
+		}
+	}
+	rec, err := w.replay.Replay(e.Path)
 	if err != nil {
 		return 0, err
 	}
@@ -262,13 +277,23 @@ func (w *Worker) expandEntry(x *explore.Expander, e *Entry, slices int, outgoing
 		if err != nil {
 			return 0, err
 		}
-		path := make([]uint32, len(e.Path)+1)
-		copy(path, e.Path)
-		path[len(e.Path)] = packed
 		dest := explore.ShardOf(fp, slices)
-		outgoing[dest] = append(outgoing[dest], Entry{FP: fp, Path: path})
+		outgoing[dest] = append(outgoing[dest], Entry{FP: fp, Path: w.childPath(e.Path, packed)})
 	}
 	return int64(len(moves)), nil
+}
+
+// childPath returns parent extended by mv, carved from the path slab. The
+// slab is only ever appended to, so a returned path is never overwritten;
+// its capacity ends at its length, so appending to it copies.
+func (w *Worker) childPath(parent []uint32, mv uint32) []uint32 {
+	n := len(parent) + 1
+	if cap(w.paths)-len(w.paths) < n {
+		w.paths = make([]uint32, 0, max(pathSlab, n))
+	}
+	start := len(w.paths)
+	w.paths = append(append(w.paths, parent...), mv)
+	return w.paths[start:len(w.paths):len(w.paths)]
 }
 
 // catchUp moves the slice one level on: it fetches every retained chunk
@@ -291,11 +316,9 @@ func (w *Worker) catchUp(ctx context.Context, cl *client, s int, st *sliceState)
 			return err
 		}
 		for _, e := range entries {
-			if _, seen := st.visited[e.FP]; seen {
-				continue
+			if st.visited.Add(e.FP) {
+				next = append(next, e)
 			}
-			st.visited[e.FP] = struct{}{}
-			next = append(next, e)
 		}
 	}
 	st.frontier = next

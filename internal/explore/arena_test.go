@@ -200,10 +200,10 @@ func TestFNVReferenceFingerprintDistinctness(t *testing.T) {
 func TestFPSetOpenAddressing(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func() *fpSet
+		mk   func() *FPSet
 	}{
 		{"locked", newFPSet},
-		{"local", newFPSetLocal},
+		{"local", NewLocalFPSet},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.mk()

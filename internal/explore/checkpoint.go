@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/model"
@@ -14,8 +15,8 @@ import (
 // into the checkpoint package's QueryData, the record snapshots persist,
 // and Options.ResumeFrom reads that record back. Configurations are never
 // serialised: the frontier is stored as node ids and rebuilt on resume by
-// replaying each node's witness path from the root, which keeps the format
-// protocol-independent.
+// replaying each node's witness path from the root (Replayer), which keeps
+// the format protocol-independent.
 
 // Snapshotter hands the Options.Snapshot hook access to the frozen search.
 // Materialising the state costs a full copy of the node forest and visited
@@ -62,7 +63,8 @@ func (sn *Snapshotter) Data() (*checkpoint.QueryData, error) {
 
 // restore rebuilds the search state from a checkpoint: counters and node
 // forest verbatim, the visited set from the fingerprint dump, and the
-// frontier by replaying each stored id's path from the root configuration.
+// frontier by replaying each stored id's path from the root through a
+// Replayer, which shares the prefix each id has with the one before it.
 // Already-visited configurations are not re-visited — the caller restored
 // whatever it learned from them alongside the checkpoint.
 func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier, root model.Config) error {
@@ -87,27 +89,41 @@ func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier,
 	for _, fp := range cp.Fingerprints {
 		s.visited.Add(Fingerprint(fp))
 	}
+	rp, err := NewReplayer(s.x, root)
+	if err != nil {
+		return fmt.Errorf("explore: resume frontier: %w", err)
+	}
 	level.ids = make([]int32, 0, len(cp.Frontier))
 	level.words = make([]uint64, len(cp.Frontier)*s.stride)
+	var path []uint32
 	for i, id := range cp.Frontier {
-		cfg, err := replayTo(res, root, id)
+		var ok bool
+		if path, ok = res.packedPathTo(path, id); !ok {
+			return fmt.Errorf("explore: resume frontier: node id %d out of range", id)
+		}
+		rec, err := rp.Replay(path)
 		if err != nil {
 			return fmt.Errorf("explore: resume frontier: %w", err)
 		}
-		if err := s.codec.PackTo(level.words[i*s.stride:(i+1)*s.stride], cfg); err != nil {
-			return fmt.Errorf("explore: resume frontier: %w", err)
-		}
+		copy(level.words[i*s.stride:(i+1)*s.stride], rec)
 		level.ids = append(level.ids, int32(id))
 	}
 	return nil
 }
 
-// replayTo rebuilds the configuration at node id by replaying its witness
-// path from the root.
-func replayTo(res *Result, root model.Config, id int) (model.Config, error) {
-	path, ok := res.PathTo(id)
-	if !ok {
-		return model.Config{}, fmt.Errorf("node id %d out of range", id)
+// packedPathTo writes the witness path of node id, as model.PackMove
+// encodings from the root on, over dst. The boolean is false for
+// out-of-range ids.
+func (r *Result) packedPathTo(dst []uint32, id int) ([]uint32, bool) {
+	dst = dst[:0]
+	if id < 0 || id >= len(r.nodes) {
+		return dst, false
 	}
-	return model.RunPath(root, path), nil
+	for id != 0 {
+		n := r.nodes[id]
+		dst = append(dst, n.via)
+		id = int(n.parent)
+	}
+	slices.Reverse(dst)
+	return dst, true
 }

@@ -246,7 +246,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 	// ever touched by this goroutine and can skip their stripe mutexes.
 	mkSet := newFPSet
 	if opts.workers() <= 1 {
-		mkSet = newFPSetLocal
+		mkSet = NewLocalFPSet
 	}
 	s := &search{
 		ctx:        ctx,

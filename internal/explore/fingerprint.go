@@ -250,30 +250,31 @@ func (sh *fpShard) grow() {
 	}
 }
 
-// fpSet is the sharded lock-striped visited set raced by the expansion
+// FPSet is the sharded lock-striped visited set raced by the expansion
 // workers. Add is linearisable per fingerprint: exactly one caller wins a
 // given fingerprint, however many workers race it. A set built with
-// newFPSetLocal skips the stripe mutexes — sound only while a single
+// NewLocalFPSet skips the stripe mutexes — sound only while a single
 // goroutine owns every Add, which Reach guarantees when Options.Workers
 // resolves to 1 (the pool is never started, so the coordinator is the only
-// caller).
-type fpSet struct {
+// caller), and which a dist shard worker's per-slice visited set is.
+type FPSet struct {
 	count  atomic.Int64
 	locked bool
 	shards [fpShards]fpShard
 }
 
-func newFPSet() *fpSet {
-	return &fpSet{locked: true}
+func newFPSet() *FPSet {
+	return &FPSet{locked: true}
 }
 
-func newFPSetLocal() *fpSet {
-	return &fpSet{}
+// NewLocalFPSet returns an empty FPSet for a single goroutine's use.
+func NewLocalFPSet() *FPSet {
+	return &FPSet{}
 }
 
 // Add inserts fp and reports whether it was absent (i.e. the caller is the
 // unique winner for this fingerprint).
-func (s *fpSet) Add(fp Fingerprint) bool {
+func (s *FPSet) Add(fp Fingerprint) bool {
 	sh := &s.shards[fp[0]&(fpShards-1)]
 	if !s.locked {
 		if sh.add(fp) {
@@ -294,7 +295,7 @@ func (s *fpSet) Add(fp Fingerprint) bool {
 // Len returns the number of distinct fingerprints inserted so far. It may
 // be momentarily stale while workers race Adds; the engine only uses it as
 // a soft overflow brake, never for exact accounting.
-func (s *fpSet) Len() int { return int(s.count.Load()) }
+func (s *FPSet) Len() int { return int(s.count.Load()) }
 
 // stats samples the set for the flight recorder: total fingerprints and
 // table slots (the load factor is their ratio), and — when h is non-nil —
@@ -304,7 +305,7 @@ func (s *fpSet) Len() int { return int(s.count.Load()) }
 // call costs O(shards × maxPerShard) whatever the set's size. Called at
 // level boundaries, when no worker holds a shard; the stripe locks are
 // still taken (when the set is a locking one) for exactness.
-func (s *fpSet) stats(maxPerShard int, h *obs.Histogram) (n, slots int) {
+func (s *FPSet) stats(maxPerShard int, h *obs.Histogram) (n, slots int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		if s.locked {
@@ -331,21 +332,31 @@ func (s *fpSet) stats(maxPerShard int, h *obs.Histogram) (n, slots int) {
 	return n, slots
 }
 
-// dump returns every fingerprint in the set, in unspecified order (the set
-// is unordered, so checkpoint files may differ between runs even when the
-// resumed results do not). Called at level boundaries, when no worker holds
-// a shard.
-func (s *fpSet) dump() [][2]uint64 {
-	out := make([][2]uint64, 0, s.Len())
+// Dump returns every fingerprint in the set, in unspecified order (the set
+// is unordered, so a caller that persists them sorts first or accepts
+// run-to-run byte differences). Call it only while no goroutine is adding.
+func (s *FPSet) Dump() []Fingerprint {
+	return appendFingerprints(make([]Fingerprint, 0, s.Len()), s)
+}
+
+// dump is Dump in the checkpoint package's element type (checkpoint files
+// may therefore differ between runs even when the resumed results do not).
+// Called at level boundaries, when no worker holds a shard.
+func (s *FPSet) dump() [][2]uint64 {
+	return appendFingerprints(make([][2]uint64, 0, s.Len()), s)
+}
+
+// appendFingerprints appends every fingerprint in s to out.
+func appendFingerprints[T ~[2]uint64](out []T, s *FPSet) []T {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if sh.zero {
-			out = append(out, [2]uint64{})
+			out = append(out, T{})
 		}
 		for _, fp := range sh.tbl {
 			if fp != (Fingerprint{}) {
-				out = append(out, fp)
+				out = append(out, T(fp))
 			}
 		}
 		sh.mu.Unlock()

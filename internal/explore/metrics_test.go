@@ -67,7 +67,7 @@ func TestReachPackedObservedAllocBound(t *testing.T) {
 // metrics under a real worker pool (run it with -race): the per-chunk stepper
 // memo deltas folded by the coordinator must add up exactly — every examined
 // transition calls StepPacked once, so memo hits + misses == Result.Steps —
-// and the fpSet gauges sampled at the last level must agree with the final
+// and the FPSet gauges sampled at the last level must agree with the final
 // visited-set size, which on an exhausted space is the configuration count.
 func TestReachParallelMetricsAggregation(t *testing.T) {
 	forcePool(t)

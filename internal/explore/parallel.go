@@ -149,13 +149,13 @@ type search struct {
 	opts       Options
 	p          []int
 	maxConfigs int
-	visited    *fpSet
+	visited    *FPSet
 	// rawSeen pre-filters packed transitions by the hash of the packed
 	// record itself, skipping the canonical key stream for transitions that
 	// reproduce an already-seen record verbatim. It is a pure cache over
 	// instance-scoped dictionary ids: never persisted in checkpoints (a
 	// resumed search just rebuilds it) and never mixed with visited.
-	rawSeen *fpSet
+	rawSeen *FPSet
 	x       *Expander     // coordinator's own kernel, for inline expansion
 	metrics searchMetrics // flight-recorder instruments, resolved once per Reach
 
