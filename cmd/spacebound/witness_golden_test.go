@@ -25,7 +25,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/witness_sha256.golden from the current output")
 
 // goldenWitnessFile pins the sha256 of every witness the exploration
-// engines produce: Theorem 1 constructions, sequential distributed-run
+// engines produce: Theorem 1 constructions (DiskRace at one and four
+// workers, Flood and CoinFlood at n=2), sequential distributed-run
 // references at one and four workers, and an in-process distributed run.
 // It is the contract a refactor of the engines must keep byte for byte.
 const goldenWitnessFile = "testdata/witness_sha256.golden"
@@ -46,18 +47,33 @@ func TestWitnessGoldenCorpus(t *testing.T) {
 		got[name] = fmt.Sprintf("%x", sha256.Sum256(witness))
 	}
 
-	m, opts, err := core.Machine(core.ProtocolDiskRace)
-	if err != nil {
-		t.Fatal(err)
+	// Theorem 1 runs: DiskRace at one and four workers, and the flood
+	// protocols at n=2. CoinFlood is the corpus's only protocol with coin
+	// moves.
+	theorem1 := []struct {
+		protocol string
+		n        int
+		workers  []int
+	}{
+		{core.ProtocolDiskRace, 3, []int{1, 4}},
+		{core.ProtocolDiskRace, 4, []int{1, 4}},
+		{core.ProtocolFlood, 2, []int{1}},
+		{core.ProtocolCoinFlood, 2, []int{1}},
 	}
-	for _, n := range []int{3, 4} {
-		o := opts
-		o.Workers = 1
-		w, err := adversary.New(valency.New(o)).Theorem1(ctx, m, n)
+	for _, tc := range theorem1 {
+		m, opts, err := core.Machine(tc.protocol)
 		if err != nil {
-			t.Fatalf("Theorem1 n=%d: %v", n, err)
+			t.Fatal(err)
 		}
-		record(fmt.Sprintf("theorem1_diskrace_n%d_w1", n), []byte(trace.RenderWitness(w)))
+		for _, workers := range tc.workers {
+			o := opts
+			o.Workers = workers
+			w, err := adversary.New(valency.New(o)).Theorem1(ctx, m, tc.n)
+			if err != nil {
+				t.Fatalf("Theorem1 %s n=%d workers=%d: %v", tc.protocol, tc.n, workers, err)
+			}
+			record(fmt.Sprintf("theorem1_%s_n%d_w%d", tc.protocol, tc.n, workers), []byte(trace.RenderWitness(w)))
+		}
 	}
 
 	for _, n := range []int{3, 4} {
