@@ -210,6 +210,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if err := core.CheckProcesses(m, *n); err != nil {
+		return err
+	}
 	if *maxConfigs > 0 {
 		opts.MaxConfigs = *maxConfigs
 	}

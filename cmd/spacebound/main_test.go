@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -121,6 +122,36 @@ func TestKillResumeByteIdenticalWitness(t *testing.T) {
 	for _, p := range []string{cleanOut, resumedOut} {
 		if err := checkpoint.VerifyArtifact(p); err != nil {
 			t.Fatalf("artifact %s: %v", p, err)
+		}
+	}
+}
+
+// TestUnstartableNIsOneLineError: a process count the protocol cannot
+// start with ends the proof path and the dist reference with exit 1 and a
+// one-line error, not a Go stack trace.
+func TestUnstartableNIsOneLineError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t, t.TempDir())
+	for _, args := range [][]string{
+		{"-protocol", "coinflood", "-n", "3"},
+		{"-dist-sequential", "-protocol", "coinflood", "-n", "3"},
+		{"-protocol", "diskrace", "-n", "65"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: err %v, want exit 1\nstderr:\n%s", args, err, &stderr)
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "spacebound: ") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("%v: stderr is not a one-line error:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%v: stdout not empty:\n%s", args, &stdout)
 		}
 	}
 }

@@ -62,6 +62,32 @@ func Machine(name string) (model.Machine, explore.Options, error) {
 	}
 }
 
+// MaxProcesses is the largest process count a run may have: the valency
+// oracle keys a process set as a 64-bit mask.
+const MaxProcesses = 64
+
+// CheckProcesses rejects a process count m cannot run with: fewer than two
+// processes, more than MaxProcesses, or a count m's Init refuses. Some
+// machines are built for a fixed n (CoinFlood for exactly two) and panic
+// in Init otherwise; the first and last process, on both binary inputs,
+// cover every size check the protocols make.
+func CheckProcesses(m model.Machine, n int) (err error) {
+	if n < 2 || n > MaxProcesses {
+		return fmt.Errorf("core: n=%d outside [2,%d]", n, MaxProcesses)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: %s cannot run with n=%d: %v", m.Name(), n, r)
+		}
+	}()
+	for _, pid := range []int{0, n - 1} {
+		for _, in := range []model.Value{"0", "1"} {
+			m.Init(n, pid, in)
+		}
+	}
+	return nil
+}
+
 // Attack runs the Theorem 1 adversary against the named protocol with n
 // processes. maxConfigs bounds each exhaustive valency query (0 = default);
 // ctx bounds the whole construction in wall-clock time, and a cancelled run

@@ -79,3 +79,28 @@ func TestVerifyKSetFacade(t *testing.T) {
 		t.Fatalf("kset(2) n=3: %v", report)
 	}
 }
+
+// TestCheckProcesses: process counts a machine cannot start with are
+// errors, never Init panics.
+func TestCheckProcesses(t *testing.T) {
+	for _, tc := range []struct {
+		protocol string
+		n        int
+		ok       bool
+	}{
+		{ProtocolDiskRace, 1, false},
+		{ProtocolDiskRace, 2, true},
+		{ProtocolDiskRace, MaxProcesses, true},
+		{ProtocolDiskRace, MaxProcesses + 1, false},
+		{ProtocolCoinFlood, 2, true},
+		{ProtocolCoinFlood, 3, false},
+	} {
+		m, _, err := Machine(tc.protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckProcesses(m, tc.n); (err == nil) != tc.ok {
+			t.Errorf("CheckProcesses(%s, %d) = %v, want ok=%v", tc.protocol, tc.n, err, tc.ok)
+		}
+	}
+}

@@ -26,9 +26,6 @@ type Run struct {
 // uses the Theorem 1 mixed inputs — process 0 proposes "0", everyone else
 // "1" — the bivalent start every exploration in this repo reasons from.
 func NewRun(protocol string, n, slices, maxDepth int, lease time.Duration) (*Run, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("dist: n=%d, need at least 2 processes", n)
-	}
 	if slices < 1 {
 		return nil, fmt.Errorf("dist: %d slices", slices)
 	}
@@ -40,6 +37,9 @@ func NewRun(protocol string, n, slices, maxDepth int, lease time.Duration) (*Run
 	}
 	m, opts, err := core.Machine(protocol)
 	if err != nil {
+		return nil, err
+	}
+	if err := core.CheckProcesses(m, n); err != nil {
 		return nil, err
 	}
 	inputs := make([]model.Value, n)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ledger"
-	"repro/internal/model"
 )
 
 // JobSpec is the submitted description of one proof job: which protocol to
@@ -48,10 +47,7 @@ func (sp *JobSpec) validate() error {
 	if err != nil {
 		return err
 	}
-	if sp.N < 2 {
-		return fmt.Errorf("server: n must be >= 2, got %d", sp.N)
-	}
-	if err := checkInit(m, sp.N); err != nil {
+	if err := core.CheckProcesses(m, sp.N); err != nil {
 		return err
 	}
 	if sp.MaxConfigs < 0 || sp.TimeoutMS < 0 || sp.Workers < 0 {
@@ -59,24 +55,6 @@ func (sp *JobSpec) validate() error {
 	}
 	if sp.Workers == 0 {
 		sp.Workers = 1
-	}
-	return nil
-}
-
-// checkInit rejects a process count the protocol cannot start with. Some
-// machines are built for a fixed n (CoinFlood for exactly two) and panic
-// in Init otherwise; the first and last process, on both binary inputs,
-// cover every size check the protocols make.
-func checkInit(m model.Machine, n int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("server: %s cannot run with n=%d: %v", m.Name(), n, r)
-		}
-	}()
-	for _, pid := range []int{0, n - 1} {
-		for _, in := range []model.Value{"0", "1"} {
-			m.Init(n, pid, in)
-		}
 	}
 	return nil
 }
