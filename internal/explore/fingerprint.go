@@ -127,10 +127,6 @@ type hasher struct {
 	kb model.KeyBuilder
 }
 
-func newHasher() *hasher {
-	return &hasher{}
-}
-
 // fingerprint digests c's canonical key under opts: streamed by
 // opts.KeyTo when set, by Config.KeyTo otherwise.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
@@ -143,7 +139,7 @@ func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
 	return mix128(hs.kb.Bytes())
 }
 
-var hasherPool = sync.Pool{New: func() any { return newHasher() }}
+var hasherPool = sync.Pool{New: func() any { return new(hasher) }}
 
 // Fingerprint digests c's canonical key under o, using pooled scratch. It
 // is the key the valency oracle memoises on; it matches what the engine's
@@ -186,42 +182,57 @@ const fpShards = 64
 // are probed straight from the fingerprint bits — no secondary hashing —
 // and membership is a lock, one or two cache lines, an unlock. The
 // all-zero fingerprint (probability 2^-128, but cheap to be exact about)
-// is tracked out of band so the zero slot can mean "empty".
+// is tracked out of band so the zero slot can mean "empty". A masked
+// set's shards keep each fingerprint's candidate mask in masks, parallel
+// to tbl; an unmasked set allocates none.
 type fpShard struct {
-	mu   sync.Mutex
-	tbl  []Fingerprint
-	n    int
-	zero bool
+	mu       sync.Mutex
+	tbl      []Fingerprint
+	masks    []uint64
+	n        int
+	zero     bool
+	zeroMask uint64
 	// Pad each shard past a cache line so neighbouring mutexes do not
 	// false-share under contention.
 	_ [16]byte
 }
 
-// add inserts fp into the shard, reporting whether it was absent. The
-// caller holds sh.mu.
-func (sh *fpShard) add(fp Fingerprint) bool {
+// add inserts fp, ORing mask into its candidate mask when the set is
+// masked, and returns the mask fp held before (every bit when an unmasked
+// set held it) and whether fp was absent. The caller holds sh.mu. The zero
+// fingerprint keeps a mask word in every set, so its held mask is exact.
+func (sh *fpShard) add(fp Fingerprint, mask uint64, masked bool) (uint64, bool) {
 	if fp == (Fingerprint{}) {
-		if sh.zero {
-			return false
+		held, fresh := sh.zeroMask, !sh.zero
+		if fresh {
+			sh.zero = true
+			sh.n++
 		}
-		sh.zero = true
-		sh.n++
-		return true
+		sh.zeroMask |= mask
+		return held, fresh
 	}
 	if 4*(sh.n+1) > 3*len(sh.tbl) {
-		sh.grow()
+		sh.grow(masked)
 	}
-	mask := uint64(len(sh.tbl) - 1)
+	wrap := uint64(len(sh.tbl) - 1)
 	// fp[0]'s low bits picked the shard; probe from fp[1] so the slot is
 	// independent of the stripe.
-	for i := fp[1] & mask; ; i = (i + 1) & mask {
+	for i := fp[1] & wrap; ; i = (i + 1) & wrap {
 		switch sh.tbl[i] {
 		case fp:
-			return false
+			if !masked {
+				return ^uint64(0), false
+			}
+			held := sh.masks[i]
+			sh.masks[i] |= mask
+			return held, false
 		case Fingerprint{}:
 			sh.tbl[i] = fp
+			if masked {
+				sh.masks[i] = mask
+			}
 			sh.n++
-			return true
+			return 0, true
 		}
 	}
 }
@@ -230,15 +241,18 @@ func (sh *fpShard) add(fp Fingerprint) bool {
 // The aggressive factor keeps total rehash work near n/3 inserts — visited
 // sets only ever grow, so oversizing one step is cheaper than re-moving
 // the same fingerprints an extra time.
-func (sh *fpShard) grow() {
-	old := sh.tbl
+func (sh *fpShard) grow(masked bool) {
+	old, oldMasks := sh.tbl, sh.masks
 	size := 4 * len(old)
 	if size < 128 {
 		size = 128
 	}
 	sh.tbl = make([]Fingerprint, size)
+	if masked {
+		sh.masks = make([]uint64, size)
+	}
 	mask := uint64(size - 1)
-	for _, fp := range old {
+	for j, fp := range old {
 		if fp == (Fingerprint{}) {
 			continue
 		}
@@ -247,6 +261,9 @@ func (sh *fpShard) grow() {
 			i = (i + 1) & mask
 		}
 		sh.tbl[i] = fp
+		if masked {
+			sh.masks[i] = oldMasks[j]
+		}
 	}
 }
 
@@ -256,10 +273,13 @@ func (sh *fpShard) grow() {
 // NewLocalFPSet skips the stripe mutexes — sound only while a single
 // goroutine owns every Add, which Reach guarantees when Options.Workers
 // resolves to 1 (the pool is never started, so the coordinator is the only
-// caller), and which a dist shard worker's per-slice visited set is.
+// caller), and which a dist shard worker's per-slice visited set is. A
+// masked set, ReachSets' visited set over several process sets, also keeps
+// a candidate mask per fingerprint.
 type FPSet struct {
 	count  atomic.Int64
 	locked bool
+	masked bool
 	shards [fpShards]fpShard
 }
 
@@ -275,21 +295,25 @@ func NewLocalFPSet() *FPSet {
 // Add inserts fp and reports whether it was absent (i.e. the caller is the
 // unique winner for this fingerprint).
 func (s *FPSet) Add(fp Fingerprint) bool {
+	_, fresh := s.add(fp, ^uint64(0))
+	return fresh
+}
+
+// add inserts fp with the candidate bits mask and returns the mask fp held
+// before (every bit in an unmasked set) and whether it was absent.
+func (s *FPSet) add(fp Fingerprint, mask uint64) (uint64, bool) {
 	sh := &s.shards[fp[0]&(fpShards-1)]
-	if !s.locked {
-		if sh.add(fp) {
-			s.count.Add(1)
-			return true
-		}
-		return false
+	if s.locked {
+		sh.mu.Lock()
 	}
-	sh.mu.Lock()
-	fresh := sh.add(fp)
-	sh.mu.Unlock()
+	held, fresh := sh.add(fp, mask, s.masked)
+	if s.locked {
+		sh.mu.Unlock()
+	}
 	if fresh {
 		s.count.Add(1)
 	}
-	return fresh
+	return held, fresh
 }
 
 // Len returns the number of distinct fingerprints inserted so far. It may

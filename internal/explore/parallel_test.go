@@ -171,7 +171,7 @@ func TestStreamingKeysMatchStringKeys(t *testing.T) {
 	for _, tc := range equivalenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
-			hs := newHasher()
+			hs := new(hasher)
 			checked := 0
 			_, err := Reach(context.Background(), tc.config, tc.pids, opts, func(v Visit) bool {
 				want := fingerprintOf(opts.ConfigKey(v.Config))

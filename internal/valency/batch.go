@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math/bits"
-	"slices"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/explore"
 	"repro/internal/model"
 )
@@ -25,21 +23,19 @@ import (
 // miss is inconclusive and leaves the memo untouched, so a later exhaustive
 // query is unimpeded.
 //
-// The search depends on the number of candidates. One candidate runs the
-// packed, parallel, spillable Reach; at its BFS level boundaries an
-// attached checkpointer may snapshot it in flight, and a crash-resumed run
-// re-enters it there. Many candidates run one mask BFS over the union of
-// their p-only spaces. The adversary's Lemma 1 asks, for each z in a
-// bivalent set P, whether P-{z} is still bivalent: n candidate sets whose
-// spaces overlap almost entirely. The mask BFS explores the shared space
-// once. Every node carries a bitmask of the candidates for which the path
-// that reached it is candidate-only; a step by process q propagates the
-// parent's mask minus the candidates excluding q. A set bit k is therefore
-// a proof that the node's witness path is a candidates[k]-only execution,
-// which makes decided values found under bit k certificates for candidate
-// k, with replayable witness paths. The mask BFS never snapshots: it is
-// budget-bounded and cheap to redo, and a crash-resumed run replays it onto
-// the same memoised verdicts.
+// The search is one explore.ReachSets over the open candidates' process
+// sets. The adversary's Lemma 1 asks, for each z in a bivalent set P,
+// whether P-{z} is still bivalent: n candidate sets whose spaces overlap
+// almost entirely, explored once. Every node carries a bitmask of the
+// candidates for which the path that reached it is candidate-only, so a
+// decided value found under bit k is a certificate for candidate k, with a
+// replayable witness path; every witness is replayed before it is kept.
+// With one open candidate the search is a plain packed, parallel,
+// spillable Reach; at its BFS level boundaries an attached checkpointer may
+// snapshot it in flight, and a crash-resumed run re-enters it there. A
+// search over several candidates never snapshots: it is budget-bounded and
+// cheap to redo, and a crash-resumed run replays it onto the same memoised
+// verdicts.
 
 // maxBatchCandidates bounds one batch (the mask is a uint64).
 const maxBatchCandidates = 64
@@ -171,13 +167,7 @@ func (o *Oracle) query(ctx context.Context, c model.Config, cands [][]int, budge
 		}
 		sp := o.opts.Obs.StartSpan(span, slog.Int("candidates", len(open)))
 		start := time.Now()
-		var configs int
-		var err error
-		if len(cands) == 1 {
-			configs, err = o.exploreDecidable(ctx, outs[0].key, c, cands[0], limit, outs[0].verdict)
-		} else {
-			configs, err = o.maskSearch(ctx, c, cands, outs, open, limit)
-		}
+		configs, err := o.search(ctx, c, cands, outs, open, limit)
 		o.stats.Configs += configs
 		o.metrics.configs.Add(int64(configs))
 		o.metrics.queryConfigs.Observe(int64(configs))
@@ -207,133 +197,34 @@ func (o *Oracle) query(ctx context.Context, c model.Config, cands [][]int, budge
 	return outs, nil
 }
 
-// exploreDecidable runs the one-candidate search, an exhaustive p-only
-// Reach capped at limit configurations, folding decided values into verdict.
-// Values already seeded keep their witnesses; the search stops as soon as
-// the verdict is bivalent. It returns the configurations visited and
-// Reach's error.
-//
-// With a checkpointer attached, every BFS level boundary offers an
-// in-flight snapshot keyed by (key, limit); and when a loaded snapshot with
-// that exact key is pending, the search re-enters at its stored level, with
-// the values it had already discovered pre-seeded.
-func (o *Oracle) exploreDecidable(ctx context.Context, key queryKey, c model.Config, p []int, limit int, verdict *Verdict) (int, error) {
+// search runs one explore.ReachSets over the open candidates' process
+// sets, capped at limit configurations. It folds the values decided at
+// every node into the verdicts of the node's open candidates, closing each
+// candidate once it is bivalent; values already seeded keep their
+// witnesses. It returns the distinct configurations visited and
+// ReachSets' error: nil means the union space was exhausted within limit.
+func (o *Oracle) search(ctx context.Context, c model.Config, cands [][]int, outs []outcome, open []int, limit int) (int, error) {
 	opts := o.opts
 	opts.MaxConfigs = limit
-	witnessIDs := make(map[model.Value]int)
-	if o.ckpt != nil {
-		opts.Snapshot = func(sn *explore.Snapshotter) {
-			o.ckpt.TickQuery(func() *checkpoint.QueryData {
-				data, err := sn.Data()
-				if err != nil {
-					return nil
-				}
-				return buildQueryData(key, limit, data, witnessIDs)
-			})
-		}
-	}
-	if q := o.resume; q != nil && explore.Fingerprint(q.FP) == key.fp && q.Pids == key.pids && q.MaxConfigs == limit {
-		o.resume = nil
-		opts.ResumeFrom = q
-		for _, f := range q.Found {
-			val := model.Value(f.Value)
-			if !verdict.Decidable[val] {
-				verdict.Decidable[val] = true
-				witnessIDs[val] = f.ID
-			}
-		}
-	}
-	numProcs := c.NumProcesses()
-	res, err := explore.Reach(ctx, c, p, opts, func(v explore.Visit) bool {
-		// Per-pid Decided probes instead of DecidedValues(): the latter
-		// builds a map per visited configuration, which dominated the
-		// query's allocations.
-		for pid := 0; pid < numProcs; pid++ {
-			val, ok := v.Config.Decided(pid)
-			if !ok {
-				continue
-			}
-			if !verdict.Decidable[val] {
-				verdict.Decidable[val] = true
-				witnessIDs[val] = v.ID
-			}
-		}
-		// Both binary values found: executions witnessing them are
-		// already recorded, so the query can stop here — for valency,
-		// bivalence is maximal knowledge.
-		return !verdict.Bivalent()
-	})
-	o.stats.DeepestLevel = max(o.stats.DeepestLevel, res.Depth)
-	for val, id := range witnessIDs {
-		path, ok := res.PathTo(id)
-		if !ok {
-			return res.Count, fmt.Errorf("valency: lost witness for %q", string(val))
-		}
-		verdict.Witness[val] = path
-	}
-	return res.Count, err
-}
-
-// maskNode is one entry of the mask BFS forest: enough to replay the
-// witness path, plus the candidate mask its path is valid for. via is the
-// connecting move in its model.PackMove encoding.
-type maskNode struct {
-	parent int32
-	depth  int32
-	via    uint32
-	mask   uint64
-}
-
-// maskSearch runs the many-candidate search: one BFS over the union of the
-// open candidates' spaces, stepped through an explore.Expander with every
-// node's packed record in a flat arena. It folds decided values into the
-// open verdicts, retiring each candidate once it is bivalent, and returns
-// the distinct configurations visited; a nil error means the union space
-// was exhausted within limit.
-func (o *Oracle) maskSearch(ctx context.Context, c model.Config, cands [][]int, outs []outcome, open []int, limit int) (int, error) {
-	// allowed[pid] is the set of open candidates whose process set holds
-	// pid; union lists the pids some open candidate holds.
-	numProcs := c.NumProcesses()
-	allowed := make([]uint64, numProcs)
-	for bit, i := range open {
-		for _, pid := range cands[i] {
-			allowed[pid] |= 1 << uint(bit)
-		}
-	}
-	var union []int
-	for pid, m := range allowed {
-		if m != 0 {
-			union = append(union, pid)
-		}
-	}
-
-	codec := model.NewPackedCodec(c)
-	x := explore.NewExpander(codec, o.opts)
-	stride := codec.Words()
-	root, err := x.Pack(c)
-	if err != nil {
-		return 0, fmt.Errorf("valency batch root: %w (and %w)", err, explore.ErrCapped)
-	}
-	arena := slices.Clone(root)
-	fp, cfg, err := x.Fingerprint(root)
-	if err != nil {
-		return 0, fmt.Errorf("valency batch root: %w (and %w)", err, explore.ErrCapped)
-	}
-	live := uint64(1)<<uint(len(open)) - 1 // candidates still seeking an answer
-	seen := map[explore.Fingerprint]uint64{fp: live}
-	nodes := []maskNode{{parent: -1, mask: live}}
+	sets := make([][]int, len(open))
 	// found[bit] maps a decided value to the node certifying it for open
 	// candidate bit.
-	found := make([]map[model.Value]int32, len(open))
-	for bit := range found {
-		found[bit] = make(map[model.Value]int32)
+	found := make([]map[model.Value]int, len(open))
+	for bit, i := range open {
+		sets[bit] = cands[i]
+		found[bit] = make(map[model.Value]int)
 	}
-	// note folds the decisions of node id's configuration, as decided by
-	// any process (Definition 1), into the verdicts of its live candidates.
-	note := func(id int32, cfg model.Config) {
-		mask := nodes[id].mask & live
+	if len(open) == 1 {
+		o.checkpointSearch(&opts, outs[open[0]].key, limit, outs[open[0]].verdict, found[0])
+	}
+	live := ^uint64(0) >> (64 - len(open))
+	numProcs := c.NumProcesses()
+	res, err := explore.ReachSets(ctx, c, sets, opts, func(v explore.Visit) uint64 {
+		// Per-pid Decided probes instead of DecidedValues(): the latter
+		// builds a map per visited configuration.
+		mask := v.Mask & live
 		for pid := 0; pid < numProcs && mask != 0; pid++ {
-			val, ok := cfg.Decided(pid)
+			val, ok := v.Config.Decided(pid)
 			if !ok {
 				continue
 			}
@@ -344,87 +235,30 @@ func (o *Oracle) maskSearch(ctx context.Context, c model.Config, cands [][]int, 
 					continue
 				}
 				verdict.Decidable[val] = true
-				found[bit][val] = id
+				found[bit][val] = v.ID
 				if verdict.Bivalent() {
 					live &^= 1 << uint(bit)
 					mask &^= 1 << uint(bit)
 				}
 			}
 		}
-	}
-
-	count := 1
-	note(0, cfg)
-	err = func() error {
-		for lo := 0; lo < len(nodes) && live != 0; lo++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("valency batch cancelled after %d configs: %w (and %w)", count, err, explore.ErrCapped)
-			}
-			if count >= limit {
-				return fmt.Errorf("valency batch hit %d configs: %w", limit, explore.ErrCapped)
-			}
-			n := nodes[lo]
-			mask := n.mask & live
-			if mask == 0 {
-				continue
-			}
-			rec := arena[lo*stride : (lo+1)*stride]
-			for _, mv := range x.Moves(rec, union) {
-				childMask := mask & allowed[mv.Pid]
-				if childMask == 0 {
-					continue
-				}
-				child, err := x.Step(rec, mv)
-				if err != nil {
-					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
-				}
-				fp, cfg, err := x.Fingerprint(child)
-				if err != nil {
-					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
-				}
-				prev, ok := seen[fp]
-				if ok && childMask&^prev == 0 {
-					continue
-				}
-				via, err := model.PackMove(mv)
-				if err != nil {
-					return fmt.Errorf("valency batch step: %w (and %w)", err, explore.ErrCapped)
-				}
-				if !ok {
-					count++
-				}
-				seen[fp] = prev | childMask
-				id := int32(len(nodes))
-				nodes = append(nodes, maskNode{parent: int32(lo), depth: n.depth + 1, via: via, mask: childMask})
-				arena = append(arena, child...)
-				o.stats.DeepestLevel = max(o.stats.DeepestLevel, int(n.depth)+1)
-				note(id, cfg)
-				if live == 0 {
-					return nil
-				}
-				if count >= limit {
-					return fmt.Errorf("valency batch hit %d configs: %w", limit, explore.ErrCapped)
-				}
-			}
-		}
-		return nil
-	}()
-
+		return live
+	})
+	o.stats.DeepestLevel = max(o.stats.DeepestLevel, res.Depth)
 	// Materialise every found value's witness path, checking that it
 	// replays to the decision it certifies.
 	for bit, ids := range found {
 		verdict := outs[open[bit]].verdict
 		for val, id := range ids {
-			var path model.Path
-			for ; id > 0; id = nodes[id].parent {
-				path = append(path, model.UnpackMove(nodes[id].via))
+			path, ok := res.PathTo(id)
+			if !ok {
+				return res.Count, fmt.Errorf("valency: lost witness for %q", string(val))
 			}
-			slices.Reverse(path)
 			if !model.RunPath(c, path).DecidedValues()[val] {
-				return count, fmt.Errorf("valency batch: witness for %q does not replay", string(val))
+				return res.Count, fmt.Errorf("valency: witness for %q does not replay", string(val))
 			}
 			verdict.Witness[val] = path
 		}
 	}
-	return count, err
+	return res.Count, err
 }

@@ -161,7 +161,7 @@ func TestQueryKeyAllocs(t *testing.T) {
 
 // TestBatchSearchObservesQueryLatency: a many-candidate probe that reaches
 // its search lands in valency_query_us like a one-candidate query does, so
-// /metrics latency quantiles cover the mask BFS.
+// /metrics latency quantiles cover searches over several candidates.
 func TestBatchSearchObservesQueryLatency(t *testing.T) {
 	scope := obs.NewScope(nil)
 	disk := consensus.DiskRace{}

@@ -1,7 +1,9 @@
 package valency
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -36,12 +38,8 @@ func ExportMemo(m *Memo) *checkpoint.MemoData {
 		}
 		d.Verdicts = append(d.Verdicts, rec)
 	}
-	sort.Slice(d.Verdicts, func(i, j int) bool {
-		a, b := d.Verdicts[i], d.Verdicts[j]
-		if a.FP != b.FP {
-			return a.FP[0] < b.FP[0] || (a.FP[0] == b.FP[0] && a.FP[1] < b.FP[1])
-		}
-		return a.Pids < b.Pids
+	slices.SortFunc(d.Verdicts, func(a, b checkpoint.VerdictRec) int {
+		return cmp.Or(cmp.Compare(a.FP[0], b.FP[0]), cmp.Compare(a.FP[1], b.FP[1]), cmp.Compare(a.Pids, b.Pids))
 	})
 	for key, e := range m.solo {
 		d.Solo = append(d.Solo, checkpoint.SoloRec{
@@ -52,12 +50,8 @@ func ExportMemo(m *Memo) *checkpoint.MemoData {
 			Path: e.path,
 		})
 	}
-	sort.Slice(d.Solo, func(i, j int) bool {
-		a, b := d.Solo[i], d.Solo[j]
-		if a.FP != b.FP {
-			return a.FP[0] < b.FP[0] || (a.FP[0] == b.FP[0] && a.FP[1] < b.FP[1])
-		}
-		return a.Pid < b.Pid
+	slices.SortFunc(d.Solo, func(a, b checkpoint.SoloRec) int {
+		return cmp.Or(cmp.Compare(a.FP[0], b.FP[0]), cmp.Compare(a.FP[1], b.FP[1]), cmp.Compare(a.Pid, b.Pid))
 	})
 	return d
 }
@@ -93,15 +87,15 @@ func ImportMemo(d *checkpoint.MemoData) (*Memo, error) {
 
 // SetCheckpointer attaches a coordinator: the oracle registers its memo as
 // the coordinator's memo source and offers in-flight snapshots at the BFS
-// level boundaries of every one-candidate query's Reach search (batches of
-// several candidates never snapshot). A nil coordinator detaches.
+// level boundaries of every search with one open candidate (searches over
+// several never snapshot). A nil coordinator detaches.
 func (o *Oracle) SetCheckpointer(c *checkpoint.Coordinator) {
 	o.ckpt = c
 	c.SetMemoSource(func() *checkpoint.MemoData { return ExportMemo(o.memo) })
 }
 
 // SetResume hands the oracle the in-flight query state of a loaded
-// snapshot. The first one-candidate search matching its (fingerprint,
+// snapshot. The first search with one open candidate matching its (fingerprint,
 // process set, effective cap) re-enters the search at the stored BFS level; in a
 // deterministic replay that is exactly the query the crash interrupted,
 // since every earlier query hits the restored memo.
@@ -118,14 +112,38 @@ func effectiveMax(opts explore.Options) int {
 	return opts.MaxConfigs
 }
 
-// buildQueryData completes a frozen one-candidate search for a snapshot:
-// data holds the search fields Snapshotter.Data filled, and the query key
-// and discovered values are stamped on it.
-func buildQueryData(key queryKey, maxConfigs int, data *checkpoint.QueryData, witnessIDs map[model.Value]int) *checkpoint.QueryData {
-	data.FP, data.Pids, data.MaxConfigs = key.fp, key.pids, maxConfigs
-	for val, id := range witnessIDs {
-		data.Found = append(data.Found, checkpoint.Found{Value: string(val), ID: id})
+// checkpointSearch wires a one-candidate search into the attached
+// checkpointer: every BFS level boundary offers an in-flight snapshot,
+// stamped with the query key, limit and the values found so far, and a
+// pending loaded snapshot with that exact key and limit re-enters the
+// search at its stored level, with the values it had already found
+// pre-seeded into verdict and found.
+func (o *Oracle) checkpointSearch(opts *explore.Options, key queryKey, limit int, verdict *Verdict, found map[model.Value]int) {
+	if o.ckpt != nil {
+		opts.Snapshot = func(sn *explore.Snapshotter) {
+			o.ckpt.TickQuery(func() *checkpoint.QueryData {
+				data, err := sn.Data()
+				if err != nil {
+					return nil
+				}
+				data.FP, data.Pids, data.MaxConfigs = key.fp, key.pids, limit
+				for val, id := range found {
+					data.Found = append(data.Found, checkpoint.Found{Value: string(val), ID: id})
+				}
+				sort.Slice(data.Found, func(i, j int) bool { return data.Found[i].Value < data.Found[j].Value })
+				return data
+			})
+		}
 	}
-	sort.Slice(data.Found, func(i, j int) bool { return data.Found[i].Value < data.Found[j].Value })
-	return data
+	if q := o.resume; q != nil && explore.Fingerprint(q.FP) == key.fp && q.Pids == key.pids && q.MaxConfigs == limit {
+		o.resume = nil
+		opts.ResumeFrom = q
+		for _, f := range q.Found {
+			val := model.Value(f.Value)
+			if !verdict.Decidable[val] {
+				verdict.Decidable[val] = true
+				found[val] = f.ID
+			}
+		}
+	}
 }

@@ -199,3 +199,67 @@ func TestResumeIgnoredOnKeyMismatch(t *testing.T) {
 		t.Fatal("matching query left the in-flight state armed")
 	}
 }
+
+// TestInFlightBatchResume: a batch whose solo seeding leaves one candidate
+// open runs that candidate's search as a one-set Reach, so it snapshots in
+// flight and resumes past level 0 like a Decidable query does.
+func TestInFlightBatchResume(t *testing.T) {
+	ctx := context.Background()
+	// {0,1} is bivalent by solo certificates; {1,2} has only input 1 and
+	// needs the exhaustive search to rule out 0.
+	c := floodConfig("0", "1", "1")
+	cands := [][]int{{1, 2}, {0, 1}}
+
+	ref := New(explore.Options{Workers: 1})
+	want, err := ref.DecideBatch(ctx, c, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	coord := checkpoint.NewCoordinator(store, 0, checkpoint.Meta{Protocol: "flood", N: 3}, nil)
+	coord.AfterSave = func(s *checkpoint.Snapshot) {
+		if s.Query != nil && s.Query.Depth >= 2 {
+			cancel()
+		}
+	}
+	crashed := New(explore.Options{Workers: 1})
+	crashed.SetCheckpointer(coord)
+	if _, err := crashed.DecideBatch(runCtx, c, cands); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Query == nil || snap.Query.Depth < 2 {
+		t.Fatalf("in-flight state %+v, want a query frozen at depth >= 2", snap.Query)
+	}
+
+	memo, err := ImportMemo(snap.Memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewWithMemo(explore.Options{Workers: 1}, memo)
+	resumed.SetResume(snap.Query)
+	got, err := resumed.DecideBatch(ctx, c, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.resume != nil {
+		t.Fatal("the open candidate's search did not consume the in-flight state")
+	}
+	for i := range cands {
+		if !reflect.DeepEqual(got[i].Decidable, want[i].Decidable) {
+			t.Fatalf("candidate %v: resumed verdict %v, want %v", cands[i], got[i].Decidable, want[i].Decidable)
+		}
+	}
+	if full, st := ref.Stats().Configs, resumed.Stats().Configs; st == 0 || st >= full {
+		t.Fatalf("resumed batch explored %d configs, full run %d: want some, and fewer than a restart", st, full)
+	}
+}

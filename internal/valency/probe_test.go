@@ -48,8 +48,8 @@ func TestSoloDecidingMemoised(t *testing.T) {
 	}
 }
 
-// probeOne probes the single candidate p, which takes the one-candidate
-// Reach search.
+// probeOne probes the single candidate p, whose search is a one-set
+// Reach.
 func probeOne(o *Oracle, c model.Config, p []int, budget int) (bool, error) {
 	got, err := o.ProbeBivalentBatch(context.Background(), c, [][]int{p}, budget)
 	if err != nil {

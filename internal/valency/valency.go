@@ -23,9 +23,9 @@
 // budget for callers (the adversary's Lemma 1) that can exploit a positive
 // answer without needing the negative one.
 //
-// All queries take one path (batch.go): Decidable is a batch of one
-// candidate, answered by the resumable packed Reach; DecideBatch and
-// ProbeBivalentBatch over several candidates share one mask-annotated BFS.
+// All queries take one path (batch.go): memo, solo seeding, then one
+// explore.ReachSets over the candidates still open. Decidable is a batch of
+// one candidate.
 package valency
 
 import (
@@ -118,7 +118,8 @@ type Oracle struct {
 	// per configuration).
 	metrics oracleMetrics
 	// ckpt, when set, receives save opportunities between queries and at
-	// the BFS level boundaries of one-candidate searches (SetCheckpointer).
+	// the BFS level boundaries of searches with one open candidate
+	// (SetCheckpointer).
 	ckpt *checkpoint.Coordinator
 	// resume, when set, is a loaded in-flight query waiting for its
 	// matching search (SetResume); consumed by the first match.
