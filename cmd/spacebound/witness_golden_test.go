@@ -25,7 +25,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/witness_sha256.golden from the current output")
 
 // goldenWitnessFile pins the sha256 of every witness the exploration
-// engines produce: Theorem 1 constructions (DiskRace at one and four
+// engines produce: Theorem 1 constructions (DiskRace at one, two and four
 // workers, Flood and CoinFlood at n=2), sequential distributed-run
 // references at one and four workers, and an in-process distributed run.
 // It is the contract a refactor of the engines must keep byte for byte.
@@ -47,7 +47,7 @@ func TestWitnessGoldenCorpus(t *testing.T) {
 		got[name] = fmt.Sprintf("%x", sha256.Sum256(witness))
 	}
 
-	// Theorem 1 runs: DiskRace at one and four workers, and the flood
+	// Theorem 1 runs: DiskRace at one, two and four workers, and the flood
 	// protocols at n=2. CoinFlood is the corpus's only protocol with coin
 	// moves.
 	theorem1 := []struct {
@@ -55,8 +55,8 @@ func TestWitnessGoldenCorpus(t *testing.T) {
 		n        int
 		workers  []int
 	}{
-		{core.ProtocolDiskRace, 3, []int{1, 4}},
-		{core.ProtocolDiskRace, 4, []int{1, 4}},
+		{core.ProtocolDiskRace, 3, []int{1, 2, 4}},
+		{core.ProtocolDiskRace, 4, []int{1, 2, 4}},
 		{core.ProtocolFlood, 2, []int{1}},
 		{core.ProtocolCoinFlood, 2, []int{1}},
 	}

@@ -51,17 +51,17 @@ func TestParseChaosScheduleRoundTrip(t *testing.T) {
 // message naming the bad directive.
 func TestParseChaosScheduleRejects(t *testing.T) {
 	for _, bad := range []string{
-		"",                                     // no workers
-		"coord:kill@level=4",                   // no workers either
-		"worker:w; coord:stall@level=1",        // coordinator can only be killed
-		"worker:w; coord:kill@level=-1",        // negative level
-		"worker:w; worker:w",                   // duplicate id
-		"worker:",                              // empty id
-		"worker:w; nonsense",                   // unknown directive
-		"worker:w; fs:enospc@bytes=0",          // empty budget
-		"worker:w; fs:melt@temp=9000",          // unknown fs fault
-		"worker:w; corrupt-gets=-1",            // negative count
-		"worker:w; worker:x:explode@level=1",   // unknown worker fault kind
+		"",                                   // no workers
+		"coord:kill@level=4",                 // no workers either
+		"worker:w; coord:stall@level=1",      // coordinator can only be killed
+		"worker:w; coord:kill@level=-1",      // negative level
+		"worker:w; worker:w",                 // duplicate id
+		"worker:",                            // empty id
+		"worker:w; nonsense",                 // unknown directive
+		"worker:w; fs:enospc@bytes=0",        // empty budget
+		"worker:w; fs:melt@temp=9000",        // unknown fs fault
+		"worker:w; corrupt-gets=-1",          // negative count
+		"worker:w; worker:x:explode@level=1", // unknown worker fault kind
 		"worker:w; coord:kill@level=1; coord:kill@level=2", // two coord faults
 	} {
 		if _, err := ParseChaosSchedule(bad); err == nil {
