@@ -29,7 +29,7 @@ import (
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		Canon: consensus.DiskRace{},
 	}
 }
 

@@ -138,7 +138,7 @@ type Report struct {
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		Canon: consensus.DiskRace{},
 	}
 }
 

@@ -115,8 +115,8 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	}
 	attacks := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
-		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 2},
-		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
+		{consensus.DiskRace{}, explore.Options{Canon: consensus.DiskRace{}}, 2},
+		{consensus.DiskRace{}, explore.Options{Canon: consensus.DiskRace{}}, 3},
 	}
 	for _, a := range attacks {
 		a.opts.Obs = scope
@@ -170,7 +170,7 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	props := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
 		{consensus.Flood{}, explore.Options{}, 3},
-		{consensus.DiskRace{}, explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo}, 3},
+		{consensus.DiskRace{}, explore.Options{Canon: consensus.DiskRace{}}, 3},
 	}
 	for _, a := range props {
 		a.opts.Obs = scope

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	machine := consensus.DiskRace{}
-	oracle := valency.New(explore.Options{KeyTo: machine.CanonicalKeyTo})
+	oracle := valency.New(explore.Options{Canon: machine})
 	engine := adversary.New(oracle)
 	const n = 3
 

@@ -16,7 +16,7 @@ func newEngine(opts explore.Options) *Engine {
 
 func diskEngine() *Engine {
 	return newEngine(explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		Canon: consensus.DiskRace{},
 	})
 }
 

@@ -54,7 +54,7 @@ func viewOf(w *Theorem1Witness) witnessView {
 func TestTheorem1CrashResumeDeterministic(t *testing.T) {
 	opts := explore.Options{
 		Workers: 1,
-		KeyTo:   consensus.DiskRace{}.CanonicalKeyTo,
+		Canon:   consensus.DiskRace{},
 	}
 	meta := checkpoint.Meta{Protocol: "diskrace", N: 3, MaxConfigs: opts.MaxConfigs}
 

@@ -48,7 +48,7 @@ func TestTheorem1N4Traced(t *testing.T) {
 	defer srv.Close()
 
 	opts := explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		Canon: consensus.DiskRace{},
 		Obs:   scope,
 	}
 	engine := New(valency.New(opts))

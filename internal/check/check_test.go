@@ -44,7 +44,7 @@ func TestConsensusFindsAgreementViolation(t *testing.T) {
 
 func TestConsensusCapsAreReported(t *testing.T) {
 	report, err := Consensus(context.Background(), consensus.DiskRace{}, 3, Options{
-		Explore:  explore.Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo, MaxConfigs: 500},
+		Explore:  explore.Options{Canon: consensus.DiskRace{}, MaxConfigs: 500},
 		SkipSolo: true,
 	})
 	if err != nil {

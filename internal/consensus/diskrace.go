@@ -3,7 +3,6 @@ package consensus
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/model"
 )
@@ -32,13 +31,6 @@ func (b Ballot) String() string {
 	return strconv.Itoa(b.K) + "." + strconv.Itoa(b.Pid)
 }
 
-func parseBallot(s string) Ballot {
-	dot := strings.IndexByte(s, '.')
-	k, _ := strconv.Atoi(s[:dot])
-	pid, _ := strconv.Atoi(s[dot+1:])
-	return Ballot{K: k, Pid: pid}
-}
-
 // DiskRace is obstruction-free binary consensus from n single-writer
 // registers: Gafni and Lamport's Disk Paxos specialised to a single "disk"
 // with one block per process. It is the repository's general upper-bound
@@ -62,7 +54,7 @@ func parseBallot(s string) Ballot {
 // Safety is Disk Paxos safety (Gafni & Lamport 2002, Lemmas 1-3; the single
 // disk is trivially a majority of one), and is additionally model-checked
 // here for small n — exactly, despite the unbounded ballot space, via the
-// gap-capped ballot canonicalisation in CanonicalKey. Obstruction freedom:
+// gap-capped ballot canonicalisation DiskRace implements as a model.Canon. Obstruction freedom:
 // a process running alone aborts at most once, adopts a round above
 // everything it saw, and then completes both phases unopposed.
 //
@@ -116,21 +108,13 @@ func (b diskBlock) encode() model.Value {
 	return model.Value(buf)
 }
 
+// decodeBlock is parseBlock for values the protocol itself wrote.
 func decodeBlock(v model.Value) diskBlock {
-	if v == model.Bottom {
-		return diskBlock{}
+	b, ok := parseBlock(v)
+	if !ok {
+		panic(fmt.Sprintf("diskrace: register holds %q, not a block", string(v)))
 	}
-	// Split by hand instead of strings.SplitN: decoding runs once per
-	// register per canonicalised configuration, and the slice header
-	// allocation was measurable in exhaustive-search profiles.
-	s := string(v)
-	i := strings.IndexByte(s, ';')
-	j := i + 1 + strings.IndexByte(s[i+1:], ';')
-	return diskBlock{
-		Mbal: parseBallot(s[:i]),
-		Bal:  parseBallot(s[i+1 : j]),
-		Inp:  model.Value(s[j+1:]),
-	}
+	return b
 }
 
 type diskPhase uint8

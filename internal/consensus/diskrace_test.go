@@ -13,7 +13,7 @@ import (
 // diskOpts is the exploration configuration for DiskRace: the ballot
 // canonicalisation is what makes its unbounded state space exhaustible.
 func diskOpts() explore.Options {
-	return explore.Options{KeyTo: DiskRace{}.CanonicalKeyTo}
+	return explore.Options{Canon: DiskRace{}}
 }
 
 // TestDiskRaceAgreement model-checks DiskRace over the canonical

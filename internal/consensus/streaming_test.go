@@ -22,7 +22,7 @@ func walkDiskRace(t *testing.T, n int, limit int, check func(model.Config)) {
 	for i := range pids {
 		pids[i] = i
 	}
-	opts := explore.Options{KeyTo: DiskRace{}.CanonicalKeyTo, MaxConfigs: limit}
+	opts := explore.Options{Canon: DiskRace{}, MaxConfigs: limit}
 	seen := 0
 	_, err := explore.Reach(context.Background(), c, pids, opts, func(v explore.Visit) bool {
 		check(v.Config)
@@ -34,18 +34,31 @@ func walkDiskRace(t *testing.T, n int, limit int, check func(model.Config)) {
 	}
 }
 
-// TestCanonicalKeyToMatchesCanonicalKey holds the streaming canonicaliser
-// to its reference implementation byte for byte across reachable
-// configurations: this equality is what makes the exploration engine's
-// fingerprint dedup sound when it hashes via CanonicalKeyTo.
+// TestCanonicalKeyToMatchesCanonicalKey holds DiskRace's rendered keys to
+// the string reference byte for byte across reachable configurations: the
+// Config path (model.AppendKey) and the packed path (a canonical codec's
+// AppendKey over per-id templates). This equality is what makes the
+// exploration engine's fingerprint dedup sound.
 func TestCanonicalKeyToMatchesCanonicalKey(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		var kb model.KeyBuilder
+		var ks model.KeyScratch
+		var codec *model.PackedCodec
+		var key []byte
 		walkDiskRace(t, n, 20000, func(c model.Config) {
-			kb.Reset()
-			DiskRace{}.CanonicalKeyTo(&kb, c)
-			if got, want := kb.String(), (DiskRace{}).CanonicalKey(c); got != want {
-				t.Fatalf("n=%d: CanonicalKeyTo wrote %q, CanonicalKey returns %q", n, got, want)
+			if codec == nil {
+				codec = model.NewCanonCodec(c, DiskRace{})
+			}
+			want := (DiskRace{}).CanonicalKey(c)
+			key = model.AppendKey(key[:0], DiskRace{}, c, &ks)
+			if string(key) != want {
+				t.Fatalf("n=%d: AppendKey wrote %q, CanonicalKey returns %q", n, key, want)
+			}
+			rec, err := codec.Pack(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if key, err = codec.AppendKey(key[:0], rec, &ks); err != nil || string(key) != want {
+				t.Fatalf("n=%d: packed AppendKey wrote %q (%v), CanonicalKey returns %q", n, key, err, want)
 			}
 		})
 	}
@@ -91,17 +104,25 @@ func TestFloodKeyToMatchesKey(t *testing.T) {
 }
 
 // TestCanonicalKeyToFallback pins the non-DiskRace fallback: on a foreign
-// configuration the streaming canonicaliser must emit Config.Key, exactly
-// as CanonicalKey falls back to it.
+// configuration the canonicaliser's key, on the Config path and the packed
+// path alike, must be Config.Key, exactly as CanonicalKey falls back to it.
 func TestCanonicalKeyToFallback(t *testing.T) {
 	c := model.NewConfig(Flood{}, []model.Value{"0", "1"})
-	var kb model.KeyBuilder
-	DiskRace{}.CanonicalKeyTo(&kb, c)
-	if got, want := kb.String(), (DiskRace{}).CanonicalKey(c); got != want {
-		t.Fatalf("fallback mismatch: KeyTo %q, CanonicalKey %q", got, want)
+	var ks model.KeyScratch
+	key := string(model.AppendKey(nil, DiskRace{}, c, &ks))
+	if want := (DiskRace{}).CanonicalKey(c); key != want {
+		t.Fatalf("fallback mismatch: AppendKey %q, CanonicalKey %q", key, want)
 	}
-	if kb.String() != c.Key() {
-		t.Fatalf("fallback should be Config.Key, got %q", kb.String())
+	if key != c.Key() {
+		t.Fatalf("fallback should be Config.Key, got %q", key)
+	}
+	codec := model.NewCanonCodec(c, DiskRace{})
+	rec, err := codec.Pack(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packed, err := codec.AppendKey(nil, rec, &ks); err != nil || string(packed) != key {
+		t.Fatalf("packed fallback %q (%v), want %q", packed, err, key)
 	}
 }
 

@@ -47,7 +47,7 @@ func Machine(name string) (model.Machine, explore.Options, error) {
 	switch name {
 	case ProtocolDiskRace:
 		return consensus.DiskRace{}, explore.Options{
-			KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+			Canon: consensus.DiskRace{},
 		}, nil
 	case ProtocolFlood:
 		return consensus.Flood{}, explore.Options{}, nil

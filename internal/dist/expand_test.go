@@ -61,7 +61,7 @@ func TestExpandChunkBytesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &Worker{Root: run.Root, Procs: run.Procs, Opts: run.Opts}
-	x := explore.NewExpander(model.NewPackedCodec(run.Root), run.Opts)
+	x := explore.NewExpander(model.NewCanonCodec(run.Root, run.Opts.Canon), run.Opts)
 	rootFP := run.Opts.Fingerprint(run.Root)
 	frontier := []Entry{{FP: rootFP}}
 	visited := map[explore.Fingerprint]bool{rootFP: true}
@@ -123,7 +123,7 @@ func levelFrontier(tb testing.TB, n, slices, depth int) (*Worker, *explore.Expan
 		tb.Fatal(err)
 	}
 	w := &Worker{Root: run.Root, Procs: run.Procs, Opts: run.Opts}
-	x := explore.NewExpander(model.NewPackedCodec(run.Root), run.Opts)
+	x := explore.NewExpander(model.NewCanonCodec(run.Root, run.Opts.Canon), run.Opts)
 	rootFP := run.Opts.Fingerprint(run.Root)
 	frontier := []Entry{{FP: rootFP}}
 	visited := map[explore.Fingerprint]bool{rootFP: true}

@@ -464,7 +464,7 @@ func TestMarkSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := explore.NewExpander(model.NewPackedCodec(pre.Root), pre.Opts)
+	x := explore.NewExpander(model.NewCanonCodec(pre.Root, pre.Opts.Canon), pre.Opts)
 	var fired bool
 	if err := pre.runLevel(ctx, cl, tr1.spec, x, rootSlice, st, 0, &fired); err != nil {
 		t.Fatal(err)

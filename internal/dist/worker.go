@@ -72,7 +72,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// The codec's dictionary ids are local to this Run — exchange chunks
 	// carry fingerprints and move paths, never packed records — so a
 	// replayer left by an earlier Run is stale.
-	x := explore.NewExpander(model.NewPackedCodec(w.Root), w.Opts)
+	x := explore.NewExpander(model.NewCanonCodec(w.Root, w.Opts.Canon), w.Opts)
 	w.replay = nil
 	rootFP := w.Opts.Fingerprint(w.Root)
 	states := make(map[int]*sliceState)
@@ -269,7 +269,7 @@ func (w *Worker) expandEntry(x *explore.Expander, e *Entry, slices int, outgoing
 		if err != nil {
 			return 0, err
 		}
-		fp, _, err := x.Fingerprint(child)
+		fp, err := x.Fingerprint(child)
 		if err != nil {
 			return 0, err
 		}

@@ -107,7 +107,7 @@ func TestArenaPathsReplay(t *testing.T) {
 	forcePool(t)
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 4000, Workers: 4}
+	opts := Options{Canon: disk, MaxConfigs: 4000, Workers: 4}
 	var keys []string
 	res, err := Reach(context.Background(), c, []int{0, 1, 2}, opts, func(v Visit) bool {
 		keys = append(keys, opts.ConfigKey(v.Config))

@@ -6,7 +6,7 @@
 // The paper's arguments quantify over "P-only executions from C". For the
 // protocols this repository attacks, the set of configurations reachable by
 // P-only executions is finite modulo the protocol's canonicalisation (see
-// Options.KeyTo), so breadth-first search decides those quantifiers
+// Options.Canon), so breadth-first search decides those quantifiers
 // exactly. Caps guard against unbounded spaces: when a cap binds, the
 // search reports it explicitly instead of silently returning partial truth.
 //
@@ -16,15 +16,19 @@
 // probability is below 10^-21), nodes retain only a parent index and the
 // packed connecting move for witness-path reconstruction, and the BFS
 // frontier itself is a flat arena of bit-packed dictionary-index records
-// (model.PackedCodec) materialised into configurations only in the batch
-// being expanded. Callers inspect configurations in the visit callback,
+// (model.PackedCodec). A child is fingerprinted from its dictionary ids:
+// the codec keeps each interned state's and value's key template (its
+// canonical key bytes with the round fields cut out), so the child's key
+// is those templates with the configuration's rounds renumbered, and only
+// the children the visited set keeps are unpacked into configurations.
+// Callers inspect configurations in the visit callback,
 // while they are transiently available — Visit.Config must not be retained
 // past the callback's return (clone it if needed).
 //
 // The frontier is expanded level-synchronously by a pool of workers
 // (Options.Workers) that deduplicate through a sharded lock-striped
-// fingerprint set and hash canonical keys streamingly (model.KeyWriter), so
-// no per-configuration key string is materialised on the hot path. The
+// fingerprint set and render keys into reused buffers, so no
+// per-configuration key string is allocated on the hot path. The
 // visit callback is always invoked from the calling goroutine, in
 // deterministic order: one worker and N workers visit the same
 // configuration count at every level, and every witness path remains
@@ -62,19 +66,19 @@ type Options struct {
 	MaxConfigs int
 	// MaxDepth caps the BFS depth (schedule length). Zero means no cap.
 	MaxDepth int
-	// KeyTo, when non-nil, replaces Config.KeyTo as the state identity
-	// used for deduplication, streamed into w without materialising a
-	// string. Protocols with unbounded-but-symmetric state (e.g.
-	// DiskRace's ballots) supply a canonicalising key that quotients the
-	// space by a bisimulation, making exhaustive search terminate. The
-	// function must identify only behaviourally equivalent configurations;
+	// Canon, when non-nil, canonicalises the state identity used for
+	// deduplication; nil keys configurations exactly, by Config.Key's
+	// bytes. Protocols with unbounded-but-symmetric state (e.g.
+	// DiskRace's ballots) supply a canonicaliser that quotients the space
+	// by a bisimulation, making exhaustive search terminate. It must
+	// identify only behaviourally equivalent configurations;
 	// consensus.TestDiskRaceCanonicalBisimulation is the guard for the one
 	// canonicaliser this repository ships, and
-	// consensus.TestCanonicalKeyToMatchesCanonicalKey holds it to its
-	// string reference form. A KeyTo must be safe for concurrent use from
-	// multiple workers (stream into w only; any internal scratch must be
-	// pooled, as consensus.CanonicalKeyTo does).
-	KeyTo func(w model.KeyWriter, c model.Config)
+	// consensus.TestCanonicalKeyToMatchesCanonicalKey holds its keys to
+	// their string reference form. The search keeps one key template per
+	// interned state and value (model.Canon), so a packed child is
+	// fingerprinted without being unpacked.
+	Canon model.Canon
 	// Workers is the number of frontier-expansion workers. Zero means
 	// GOMAXPROCS; 1 forces single-threaded expansion. Worker count never
 	// changes the number of configurations visited per level.
@@ -311,7 +315,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		maxConfigs: maxConfigs,
 		visited:    mkSet(),
 		rawSeen:    mkSet(),
-		codec:      model.NewPackedCodec(c),
+		codec:      model.NewCanonCodec(c, opts.Canon),
 		metrics:    newSearchMetrics(opts.Obs),
 	}
 	s.visited.masked = masked
@@ -337,7 +341,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		if err != nil {
 			return res, fmt.Errorf("reach root: %w", err)
 		}
-		fp, _, err := s.x.Fingerprint(rec)
+		fp, err := s.x.Fingerprint(rec)
 		if err != nil {
 			return res, fmt.Errorf("reach root: %w", err)
 		}

@@ -25,7 +25,7 @@ func TestReachPackedObservedAllocBound(t *testing.T) {
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	opts := Options{
-		KeyTo:      disk.CanonicalKeyTo,
+		Canon:      disk,
 		MaxConfigs: 20_000,
 		Workers:    1,
 	}

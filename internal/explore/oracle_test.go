@@ -12,19 +12,18 @@ import (
 // fast.
 
 // ConfigKey returns the state identity of c under these options as a
-// string: KeyTo streamed into a model.KeyBuilder when set, the Config.Key
-// reference form otherwise.
+// string: the bytes model.AppendKey renders under Canon, which are
+// Config.Key's when Canon is nil.
 func (o Options) ConfigKey(c model.Config) string {
-	if o.KeyTo == nil {
+	if o.Canon == nil {
 		return c.Key()
 	}
-	var kb model.KeyBuilder
-	o.KeyTo(&kb, c)
-	return kb.String()
+	var ks model.KeyScratch
+	return string(model.AppendKey(nil, o.Canon, c, &ks))
 }
 
 // fingerprintOf digests an already-materialised key string. It is the
-// reference form of hasher.fingerprint; the streaming path must produce
+// reference form of hasher.fingerprint; the rendering path must produce
 // identical fingerprints (TestStreamingKeysMatchStringKeys).
 func fingerprintOf(key string) Fingerprint {
 	return mix128([]byte(key))

@@ -62,13 +62,13 @@ func equivalenceCases() []equivalenceCase {
 			name:   "diskrace3-pair",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1},
-			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000},
+			opts:   Options{Canon: disk, MaxConfigs: 60000},
 		},
 		{
 			name:   "diskrace3-capped",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1, 2},
-			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 3000},
+			opts:   Options{Canon: disk, MaxConfigs: 3000},
 			capped: true,
 		},
 	}
@@ -147,7 +147,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 func TestParallelSequentialEquivalenceDefaultThresholds(t *testing.T) {
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000}
+	opts := Options{Canon: disk, MaxConfigs: 60000}
 	counts := make(map[int]int)
 	for _, workers := range []int{1, 4} {
 		o := opts

@@ -27,7 +27,7 @@ func TestReplayerMatchesApply(t *testing.T) {
 		opts  Options
 		depth int
 	}{
-		{"diskrace3", model.NewConfig(disk, []model.Value{"0", "1", "1"}), Options{KeyTo: disk.CanonicalKeyTo}, 12},
+		{"diskrace3", model.NewConfig(disk, []model.Value{"0", "1", "1"}), Options{Canon: disk}, 12},
 		{"coinflood2", model.NewConfig(consensus.CoinFlood{}, []model.Value{"0", "1"}), Options{}, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +52,7 @@ func TestReplayerMatchesApply(t *testing.T) {
 			}
 			rand.New(rand.NewSource(7)).Shuffle(len(paths), func(i, j int) { paths[i], paths[j] = paths[j], paths[i] })
 
-			codec := model.NewPackedCodec(tc.root)
+			codec := model.NewCanonCodec(tc.root, tc.opts.Canon)
 			rp, err := NewReplayer(NewExpander(codec, tc.opts), tc.root)
 			if err != nil {
 				t.Fatal(err)

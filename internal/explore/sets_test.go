@@ -75,7 +75,7 @@ func runMasked(t *testing.T, c model.Config, sets [][]int, opts Options) (*Resul
 // mask names.
 func TestReachSetsDeterministic(t *testing.T) {
 	c, sets := lemma1Sets()
-	base := Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo, MaxConfigs: 5000}
+	base := Options{Canon: consensus.DiskRace{}, MaxConfigs: 5000}
 
 	seq := base
 	seq.Workers = 1
@@ -160,7 +160,7 @@ func TestReachSetsRevisitsNewBits(t *testing.T) {
 // offers a snapshot and refuses to resume.
 func TestReachSetsNoSnapshotOrResume(t *testing.T) {
 	c, sets := lemma1Sets()
-	opts := Options{KeyTo: consensus.DiskRace{}.CanonicalKeyTo, MaxConfigs: 200, Workers: 1}
+	opts := Options{Canon: consensus.DiskRace{}, MaxConfigs: 200, Workers: 1}
 	opts.Snapshot = func(*Snapshotter) { t.Fatal("snapshot offered by a search over several sets") }
 	if _, err := ReachSets(context.Background(), c, sets, opts, nil); !errors.Is(err, ErrCapped) {
 		t.Fatalf("err = %v, want the cap", err)

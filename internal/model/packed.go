@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -16,9 +17,14 @@ import (
 // one value field per register. Packing is dictionary-building (the codec
 // grows as exploration discovers states); unpacking is two array reads per
 // field. Because states are interned by their exact State.Key bytes, the
-// round trip Unpack(Pack(c)) yields a configuration whose canonical key is
-// byte-identical to c's — TestPackedCodecRoundTripsCanonicalKey holds that
-// contract for every protocol in the test zoo.
+// round trip Unpack(Pack(c)) yields a configuration whose key is
+// byte-identical to c's — TestPackedCodecRoundTripsKey holds that contract.
+//
+// Each dictionary id also keeps a key template, so a record's key is
+// rendered without unpacking it (AppendKey): under a Canon, the id's
+// canonical key bytes with the round fields cut out; without one, its exact
+// key. TestPackedKeyMatchesConfigKey and FuzzPackedCodecRoundTrip hold the
+// rendered keys to the Config path, model.AppendKey.
 //
 // Dictionary indices are assigned in discovery order, so packed words are
 // meaningful only relative to the codec instance that produced them: they
@@ -49,38 +55,53 @@ const (
 	defaultRegBits   = 22
 )
 
-// Intern-table geometry. Values live in fixed-size chunks behind atomic
-// pointers so concurrent readers never observe a reallocating slice;
-// key→index maps are sharded to keep worker contention off a single lock.
+// Intern-table geometry. Entries live in chunks behind atomic pointers so
+// concurrent readers never observe a reallocating slice; chunk k holds
+// internFirst<<k entries, so a table costs memory in proportion to what it
+// holds and a short search never allocates a directory sized for the field
+// width. key→index maps are sharded to keep worker contention off a single
+// lock.
 const (
 	internShards    = 32
-	internChunkBits = 12
-	internChunkSize = 1 << internChunkBits
+	internFirstBits = 8
+	// internChunks covers the largest field width, 32 bits:
+	// internFirst·(2^25 − 1) ≥ 2^32.
+	internChunks = 25
 )
 
-// internShard is one stripe of the key→index map.
+// internShard is one stripe of the key→index map, with the scratch that
+// builds a new entry's key template under its lock.
 type internShard struct {
-	mu  sync.RWMutex
-	idx map[string]uint32
-	_   [24]byte // keep neighbouring locks off one cache line
+	mu   sync.RWMutex
+	idx  map[string]uint32
+	tmpl Template
+	buf  []byte
+	_    [24]byte // keep neighbouring locks off one cache line
+}
+
+// internEntry is one interned value and its key template: the packed
+// template (see Template.pack) when the codec has a Canon, "" when that
+// Canon refused the value or the template does not pack, and the exact key
+// bytes when the codec has none.
+type internEntry[T any] struct {
+	v    T
+	tmpl string
 }
 
 // internTable is a concurrent append-only dictionary: distinct keys get
-// dense indices in discovery order, and index→value lookups are two array
-// reads with no lock. limit is the field-width capacity.
+// dense indices in discovery order, and index→entry lookups are two array
+// reads with no lock. limit is the field-width capacity; template, when
+// non-nil, writes a new entry's key template.
 type internTable[T any] struct {
-	limit  uint32
-	next   atomic.Uint32
-	chunks []atomic.Pointer[[internChunkSize]T]
-	shards [internShards]internShard
+	limit    uint32
+	next     atomic.Uint32
+	chunks   [internChunks]atomic.Pointer[[]internEntry[T]]
+	shards   [internShards]internShard
+	template func(t *Template, v T) bool
 }
 
-func newInternTable[T any](bits int) *internTable[T] {
-	limit := uint32(1) << bits
-	t := &internTable[T]{
-		limit:  limit,
-		chunks: make([]atomic.Pointer[[internChunkSize]T], (int(limit)+internChunkSize-1)/internChunkSize),
-	}
+func newInternTable[T any](bits int, template func(t *Template, v T) bool) *internTable[T] {
+	t := &internTable[T]{limit: uint32(1) << bits, template: template}
 	for i := range t.shards {
 		t.shards[i].idx = make(map[string]uint32)
 	}
@@ -96,34 +117,50 @@ func shardIndex[K ~string | ~[]byte](key K) uint32 {
 	return h % internShards
 }
 
-// store places v at index id. Chunks are published with a CAS so two
-// shards allocating the same chunk concurrently agree on one.
-func (t *internTable[T]) store(id uint32, v T) {
-	ci := int(id >> internChunkBits)
-	ch := t.chunks[ci].Load()
-	if ch == nil {
-		fresh := new([internChunkSize]T)
-		if t.chunks[ci].CompareAndSwap(nil, fresh) {
-			ch = fresh
-		} else {
-			ch = t.chunks[ci].Load()
-		}
-	}
-	ch[id&(internChunkSize-1)] = v
+// chunkOf locates index id: chunk k holds indices
+// [internFirst·(2^k − 1), internFirst·(2^(k+1) − 1)).
+func chunkOf(id uint32) (int, uint64) {
+	k := bits.Len64(uint64(id)>>internFirstBits+1) - 1
+	return k, uint64(id) - (uint64(1)<<k-1)<<internFirstBits
 }
 
-// at returns the value at index id. ok is false for indices never
-// interned — the typed-error path of Unpack.
-func (t *internTable[T]) at(id uint32) (T, bool) {
-	var zero T
-	if id >= t.next.Load() {
-		return zero, false
-	}
-	ch := t.chunks[id>>internChunkBits].Load()
+// store places e at index id. Chunks are published with a CAS so two
+// shards allocating the same chunk concurrently agree on one.
+func (t *internTable[T]) store(id uint32, e internEntry[T]) {
+	k, off := chunkOf(id)
+	ch := t.chunks[k].Load()
 	if ch == nil {
-		return zero, false
+		fresh := make([]internEntry[T], 1<<(internFirstBits+k))
+		if t.chunks[k].CompareAndSwap(nil, &fresh) {
+			ch = &fresh
+		} else {
+			ch = t.chunks[k].Load()
+		}
 	}
-	return ch[id&(internChunkSize-1)], true
+	(*ch)[off] = e
+}
+
+// entry returns the entry at index id, or nil for an index never interned
+// — the typed-error path of Unpack.
+func (t *internTable[T]) entry(id uint32) *internEntry[T] {
+	if id >= t.next.Load() {
+		return nil
+	}
+	k, off := chunkOf(id)
+	ch := t.chunks[k].Load()
+	if ch == nil {
+		return nil
+	}
+	return &(*ch)[off]
+}
+
+// at returns the value at index id; ok is false for indices never
+// interned.
+func (t *internTable[T]) at(id uint32) (v T, ok bool) {
+	if e := t.entry(id); e != nil {
+		return e.v, true
+	}
+	return v, false
 }
 
 // internBytes returns the index of key, interning v under a copy of key
@@ -142,13 +179,7 @@ func (t *internTable[T]) internBytes(key []byte, v T) (uint32, error) {
 	if id, ok := sh.idx[string(key)]; ok {
 		return id, nil
 	}
-	id = t.next.Add(1) - 1
-	if id >= t.limit {
-		return 0, ErrPackedCapacity
-	}
-	t.store(id, v)
-	sh.idx[string(key)] = id
-	return id, nil
+	return t.insert(sh, string(key), v)
 }
 
 // internString is internBytes for callers that already hold a string key.
@@ -165,18 +196,37 @@ func (t *internTable[T]) internString(key string, v T) (uint32, error) {
 	if id, ok := sh.idx[key]; ok {
 		return id, nil
 	}
-	id = t.next.Add(1) - 1
+	return t.insert(sh, key, v)
+}
+
+// insert assigns key the next index and stores v with its template. The
+// caller holds sh.mu and has checked key is absent.
+func (t *internTable[T]) insert(sh *internShard, key string, v T) (uint32, error) {
+	id := t.next.Add(1) - 1
 	if id >= t.limit {
 		return 0, ErrPackedCapacity
 	}
-	t.store(id, v)
+	e := internEntry[T]{v: v, tmpl: key}
+	if t.template != nil {
+		e.tmpl = ""
+		sh.tmpl.Reset()
+		if t.template(&sh.tmpl, v) {
+			var ok bool
+			if sh.buf, ok = sh.tmpl.pack(sh.buf[:0]); ok {
+				e.tmpl = string(sh.buf)
+			}
+		}
+	}
+	t.store(id, e)
 	sh.idx[key] = id
 	return id, nil
 }
 
 // PackedCodec packs configurations of one protocol instance into
-// fixed-width []uint64 records. Safe for concurrent use: the dictionaries
-// are sharded and the pack/unpack methods touch only caller-owned words.
+// fixed-width []uint64 records, and renders a record's key from its
+// dictionary ids' templates. Safe for concurrent use: the dictionaries
+// are sharded, a template is written once, when its id is interned, and
+// the pack/unpack/key methods touch only caller-owned words and scratch.
 type PackedCodec struct {
 	procs     int
 	regs      int
@@ -184,30 +234,49 @@ type PackedCodec struct {
 	regBits   int
 	words     int
 
+	canon  Canon
 	states *internTable[State]
 	vals   *internTable[Value]
 	kbPool sync.Pool
 }
 
 // NewPackedCodec computes the packed layout for configurations shaped like
-// template (its process and register counts) with the default field widths.
+// template (its process and register counts) with the default field widths
+// and exact keys: AppendKey renders Config.Key's bytes.
 func NewPackedCodec(template Config) *PackedCodec {
-	return NewPackedCodecWidths(template, defaultStateBits, defaultRegBits)
+	return NewCanonCodec(template, nil)
+}
+
+// NewCanonCodec is NewPackedCodec keying configurations under canon: each
+// interned state and value keeps its canon template, and AppendKey renders
+// canonical keys from them.
+func NewCanonCodec(template Config, canon Canon) *PackedCodec {
+	return newPackedCodec(template, canon, defaultStateBits, defaultRegBits)
 }
 
 // NewPackedCodecWidths is NewPackedCodec with explicit field widths (used
 // by tests to exercise capacity overflow with tiny dictionaries).
 func NewPackedCodecWidths(template Config, stateBits, regBits int) *PackedCodec {
+	return newPackedCodec(template, nil, stateBits, regBits)
+}
+
+func newPackedCodec(template Config, canon Canon, stateBits, regBits int) *PackedCodec {
 	if stateBits < 1 || stateBits > 32 || regBits < 1 || regBits > 32 {
 		panic(fmt.Sprintf("model: packed field widths %d/%d outside [1,32]", stateBits, regBits))
+	}
+	var stateTmpl func(*Template, State) bool
+	var valTmpl func(*Template, Value) bool
+	if canon != nil {
+		stateTmpl, valTmpl = canon.StateTemplate, canon.ValueTemplate
 	}
 	pc := &PackedCodec{
 		procs:     template.NumProcesses(),
 		regs:      template.NumRegisters(),
 		stateBits: stateBits,
 		regBits:   regBits,
-		states:    newInternTable[State](stateBits),
-		vals:      newInternTable[Value](regBits),
+		canon:     canon,
+		states:    newInternTable(stateBits, stateTmpl),
+		vals:      newInternTable(regBits, valTmpl),
 	}
 	pc.words = (pc.totalBits() + 63) / 64
 	pc.kbPool.New = func() any { return &KeyBuilder{} }
@@ -215,6 +284,10 @@ func NewPackedCodecWidths(template Config, stateBits, regBits int) *PackedCodec 
 }
 
 func (pc *PackedCodec) totalBits() int { return pc.procs*pc.stateBits + pc.regs*pc.regBits }
+
+// Canon returns the canonicaliser the codec keys under (nil for exact
+// keys).
+func (pc *PackedCodec) Canon() Canon { return pc.canon }
 
 // Words returns the number of uint64 words one packed configuration
 // occupies — the stride of every arena built over this codec.
@@ -367,11 +440,8 @@ func (pc *PackedCodec) Pack(c Config) ([]uint64, error) {
 // count, an index beyond the dictionaries, or set padding bits — never a
 // panic, whatever the words (FuzzPackedCodecRoundTrip).
 func (pc *PackedCodec) UnpackInto(words []uint64, states []State, regs []Value) (Config, error) {
-	if len(words) != pc.words {
-		return Config{}, fmt.Errorf("%w: %d words, layout needs %d", ErrPackedRange, len(words), pc.words)
-	}
-	if pad := uint(pc.totalBits() & 63); pad != 0 && words[pc.words-1]>>pad != 0 {
-		return Config{}, fmt.Errorf("%w: padding bits set", ErrPackedRange)
+	if err := pc.checkWords(words); err != nil {
+		return Config{}, err
 	}
 	if len(states) < pc.procs || len(regs) < pc.regs {
 		return Config{}, fmt.Errorf("%w: backing %d/%d below layout %d/%d",
@@ -396,6 +466,100 @@ func (pc *PackedCodec) UnpackInto(words []uint64, states []State, regs []Value) 
 		regs[r] = v
 	}
 	return Config{states: states, regs: regs}, nil
+}
+
+// checkWords rejects a record of the wrong length or with padding bits
+// set.
+func (pc *PackedCodec) checkWords(words []uint64) error {
+	if len(words) != pc.words {
+		return fmt.Errorf("%w: %d words, layout needs %d", ErrPackedRange, len(words), pc.words)
+	}
+	if pad := uint(pc.totalBits() & 63); pad != 0 && words[pc.words-1]>>pad != 0 {
+		return fmt.Errorf("%w: padding bits set", ErrPackedRange)
+	}
+	return nil
+}
+
+// AppendKey appends the key of the packed record words under the codec's
+// canonicaliser to dst: exactly the bytes AppendKey(dst, pc.Canon(),
+// Unpack(words), ks) appends, read from the dictionary ids' templates
+// without unpacking. The rounds a configuration holds are the OR of its
+// templates' round bitsets, renumbered once, and each template is copied
+// with its renumbered rounds written into its cuts. A slot without a
+// packed template takes the Config path. It accepts exactly the records
+// UnpackInto accepts and answers ErrPackedRange otherwise.
+func (pc *PackedCodec) AppendKey(dst []byte, words []uint64, ks *KeyScratch) ([]byte, error) {
+	if err := pc.checkWords(words); err != nil {
+		return dst, err
+	}
+	tmpls := ks.tmpls[:0]
+	for pid := 0; pid < pc.procs; pid++ {
+		id := getField(words, pc.stateOff(pid), pc.stateBits)
+		e := pc.states.entry(uint32(id))
+		if e == nil {
+			return dst, fmt.Errorf("%w: state index %d not interned", ErrPackedRange, id)
+		}
+		tmpls = append(tmpls, e.tmpl)
+	}
+	for r := 0; r < pc.regs; r++ {
+		id := getField(words, pc.regOff(r), pc.regBits)
+		e := pc.vals.entry(uint32(id))
+		if e == nil {
+			return dst, fmt.Errorf("%w: value index %d not interned", ErrPackedRange, id)
+		}
+		tmpls = append(tmpls, e.tmpl)
+	}
+	ks.tmpls = tmpls
+	if pc.canon == nil {
+		for i, tm := range tmpls {
+			if i == pc.procs {
+				dst = append(dst, keySepSection)
+			}
+			dst = append(append(dst, tm...), keySepField)
+		}
+		if pc.regs == 0 {
+			dst = append(dst, keySepSection)
+		}
+		return dst, nil
+	}
+	var present uint64
+	for _, tm := range tmpls {
+		if tm == "" {
+			return pc.appendUnpacked(dst, words, ks)
+		}
+		present |= packedRounds(tm)
+	}
+	ks.rounds = ks.rounds[:0]
+	for m := present; m != 0; m &= m - 1 {
+		ks.rounds = append(ks.rounds, bits.TrailingZeros64(m))
+	}
+	ks.renumber(pc.canon)
+	for i, r := range ks.rounds {
+		ks.table[r] = ks.to[i]
+	}
+	for i, tm := range tmpls {
+		if i == pc.procs {
+			dst = append(dst, keySepSection)
+		}
+		dst = append(appendPacked(dst, tm, &ks.table), keySepField)
+	}
+	if pc.regs == 0 {
+		dst = append(dst, keySepSection)
+	}
+	return dst, nil
+}
+
+// appendUnpacked is AppendKey's Config path, for a record holding a slot
+// without a packed template.
+func (pc *PackedCodec) appendUnpacked(dst []byte, words []uint64, ks *KeyScratch) ([]byte, error) {
+	if len(ks.states) < pc.procs || len(ks.regs) < pc.regs {
+		ks.states, ks.regs = make([]State, pc.procs), make([]Value, pc.regs)
+	}
+	c, err := pc.UnpackInto(words, ks.states, ks.regs)
+	if err != nil {
+		return dst, err
+	}
+	return AppendKey(dst, pc.canon, c, ks), nil
 }
 
 // Unpack decodes words into a freshly allocated Config.

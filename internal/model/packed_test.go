@@ -176,12 +176,86 @@ func TestPackMoveRoundTrip(t *testing.T) {
 	}
 }
 
+// toyCanon is a test canonicaliser over the toy machine: a state's stage
+// is cut as a round, shifted by shift, and rounds renumber to their rank,
+// so configurations differing only in stages that keep their order share a
+// key. refuse makes it refuse every state, and a shift of 64 or more puts
+// every template beyond what a packed template holds.
+type toyCanon struct {
+	shift  int
+	refuse bool
+}
+
+func (tc toyCanon) StateTemplate(t *Template, st State) bool {
+	s, ok := st.(toyState)
+	if !ok || tc.refuse {
+		return false
+	}
+	_, _ = t.WriteString("t")
+	t.WriteInt(s.pid)
+	_ = t.WriteByte('/')
+	t.Round(s.stage + tc.shift)
+	_ = t.WriteByte('|')
+	_, _ = t.WriteString(string(s.input))
+	_ = t.WriteByte('|')
+	_, _ = t.WriteString(string(s.got))
+	return true
+}
+
+func (toyCanon) ValueTemplate(t *Template, v Value) bool {
+	_, _ = t.WriteString(string(v))
+	return true
+}
+
+func (toyCanon) Renumber(rounds, to []int) {
+	for i := range rounds {
+		to[i] = i
+	}
+}
+
+// TestPackedKeyMatchesConfigKey holds the packed path of AppendKey to the
+// Config path on every reachable toy configuration, for exact keys, a
+// canonicaliser with packed templates, one whose rounds are too wide to
+// pack and one that refuses every state; the last two take the fallback.
+func TestPackedKeyMatchesConfigKey(t *testing.T) {
+	for _, canon := range []Canon{nil, toyCanon{}, toyCanon{shift: 64}, toyCanon{refuse: true}} {
+		pc := NewCanonCodec(toyConfig(), canon)
+		var ks KeyScratch
+		walkToy(t, func(c Config) {
+			words, err := pc.Pack(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packed, err := pc.AppendKey(nil, words, &ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := AppendKey(nil, canon, c, &ks)
+			if string(packed) != string(want) {
+				t.Fatalf("canon %+v: packed key %q, Config key %q", canon, packed, want)
+			}
+			if canon == nil || canon == (toyCanon{refuse: true}) {
+				if string(want) != c.Key() {
+					t.Fatalf("canon %+v: key %q, want Config.Key %q", canon, want, c.Key())
+				}
+			}
+		})
+		e := pc.states.entry(0)
+		if packs := (canon == toyCanon{}); packs != (len(e.tmpl) > packedTemplateHeader) {
+			t.Fatalf("canon %+v: state 0 template %q", canon, e.tmpl)
+		}
+	}
+}
+
 // FuzzPackedCodecRoundTrip feeds arbitrary words to Unpack on a codec with
 // a populated dictionary. The contract under fuzz: never panic; either
 // reject with ErrPackedRange or decode to a configuration that repacks to
-// the exact input words.
+// the exact input words. AppendKey must accept exactly the same records,
+// and render the key the Config path renders for the decoded
+// configuration, on an exact and on a canonical codec alike.
 func FuzzPackedCodecRoundTrip(f *testing.F) {
 	pc := NewPackedCodec(toyConfig())
+	canonical := NewCanonCodec(toyConfig(), toyCanon{})
 	// Populate the dictionaries with the whole reachable toy space.
 	seen := map[string]bool{toyConfig().Key(): true}
 	queue := []Config{toyConfig()}
@@ -190,6 +264,9 @@ func FuzzPackedCodecRoundTrip(f *testing.F) {
 		c := queue[0]
 		queue = queue[1:]
 		if err := pc.PackTo(dst, c); err != nil {
+			f.Fatal(err)
+		}
+		if err := canonical.PackTo(make([]uint64, pc.Words()), c); err != nil {
 			f.Fatal(err)
 		}
 		seed := make([]byte, 8*len(dst))
@@ -215,6 +292,23 @@ func FuzzPackedCodecRoundTrip(f *testing.F) {
 		words := make([]uint64, len(raw)/8)
 		for i := range words {
 			words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+		var ks KeyScratch
+		for _, codec := range []*PackedCodec{pc, canonical} {
+			c, err := codec.Unpack(words)
+			key, keyErr := codec.AppendKey(nil, words, &ks)
+			if (err == nil) != (keyErr == nil) {
+				t.Fatalf("Unpack error %v, AppendKey error %v", err, keyErr)
+			}
+			if err != nil {
+				if !errors.Is(keyErr, ErrPackedRange) {
+					t.Fatalf("AppendKey error is not ErrPackedRange: %v", keyErr)
+				}
+				continue
+			}
+			if want := AppendKey(nil, codec.Canon(), c, &ks); string(key) != string(want) {
+				t.Fatalf("packed key %q, Config key %q", key, want)
+			}
 		}
 		c, err := pc.Unpack(words)
 		if err != nil {

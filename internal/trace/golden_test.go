@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 func goldenWitness(t *testing.T) *adversary.Theorem1Witness {
 	t.Helper()
 	engine := adversary.New(valency.New(explore.Options{
-		KeyTo:   consensus.DiskRace{}.CanonicalKeyTo,
+		Canon:   consensus.DiskRace{},
 		Workers: 1,
 	}))
 	w, err := engine.Theorem1(context.Background(), consensus.DiskRace{}, 3)

@@ -15,7 +15,7 @@ import (
 func witness(t *testing.T) (*adversary.Theorem1Witness, model.Config) {
 	t.Helper()
 	engine := adversary.New(valency.New(explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		Canon: consensus.DiskRace{},
 	}))
 	w, err := engine.Theorem1(context.Background(), consensus.DiskRace{}, 3)
 	if err != nil {

@@ -205,9 +205,9 @@ var batchProtocols = []struct {
 	opts   explore.Options
 }{
 	{"diskrace3", consensus.DiskRace{}, []model.Value{"0", "1", "1"},
-		explore.Options{MaxConfigs: 4096, Workers: 1, KeyTo: consensus.DiskRace{}.CanonicalKeyTo}},
+		explore.Options{MaxConfigs: 4096, Workers: 1, Canon: consensus.DiskRace{}}},
 	{"diskrace4", consensus.DiskRace{}, []model.Value{"0", "1", "1", "1"},
-		explore.Options{MaxConfigs: 4096, Workers: 1, KeyTo: consensus.DiskRace{}.CanonicalKeyTo}},
+		explore.Options{MaxConfigs: 4096, Workers: 1, Canon: consensus.DiskRace{}}},
 	{"flood2", consensus.Flood{}, []model.Value{"0", "1"}, explore.Options{MaxConfigs: 4096, Workers: 1}},
 	{"flood3", consensus.Flood{}, []model.Value{"0", "1", "1"}, explore.Options{MaxConfigs: 4096, Workers: 1}},
 }

@@ -54,7 +54,7 @@ func TestDecideBatchMatchesDecidable(t *testing.T) {
 // on DiskRace Lemma 1 candidate sets.
 func TestProbeBivalentBatchMatchesSequential(t *testing.T) {
 	disk := consensus.DiskRace{}
-	opts := explore.Options{KeyTo: disk.CanonicalKeyTo}
+	opts := explore.Options{Canon: disk}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	p := []int{0, 1, 2}
 	cands := make([][]int, len(p))
@@ -102,7 +102,7 @@ func TestBatchMemoProtocol(t *testing.T) {
 	})
 	t.Run("inconclusive not memoised", func(t *testing.T) {
 		disk := consensus.DiskRace{}
-		o := New(explore.Options{KeyTo: disk.CanonicalKeyTo})
+		o := New(explore.Options{Canon: disk})
 		// Unanimous inputs: no bivalence certificate exists and the
 		// 2-process spaces are too big for the budget, so every candidate
 		// is inconclusive.
@@ -130,7 +130,7 @@ func TestBatchMemoProtocol(t *testing.T) {
 		}
 	})
 	t.Run("DecideBatch errors when capped", func(t *testing.T) {
-		o := New(explore.Options{MaxConfigs: 4, KeyTo: consensus.DiskRace{}.CanonicalKeyTo})
+		o := New(explore.Options{MaxConfigs: 4, Canon: consensus.DiskRace{}})
 		c := model.NewConfig(consensus.DiskRace{}, []model.Value{"1", "1", "1"})
 		if _, err := o.DecideBatch(context.Background(), c, [][]int{{0, 1}}); err == nil {
 			t.Fatal("capped DecideBatch returned verdicts")
@@ -165,7 +165,7 @@ func TestQueryKeyAllocs(t *testing.T) {
 func TestBatchSearchObservesQueryLatency(t *testing.T) {
 	scope := obs.NewScope(nil)
 	disk := consensus.DiskRace{}
-	o := New(explore.Options{Obs: scope, KeyTo: disk.CanonicalKeyTo})
+	o := New(explore.Options{Obs: scope, Canon: disk})
 	// Unanimous inputs: no solo certificate settles any candidate, so the
 	// batch runs its search.
 	c := model.NewConfig(disk, []model.Value{"1", "1", "1"})

@@ -119,7 +119,7 @@ func TestProbeBivalentExhaustedIsExact(t *testing.T) {
 // and leave the memo empty so a later exhaustive Decidable is unimpeded.
 func TestProbeBivalentInconclusiveNotMemoised(t *testing.T) {
 	disk := consensus.DiskRace{}
-	o := New(explore.Options{KeyTo: disk.CanonicalKeyTo})
+	o := New(explore.Options{Canon: disk})
 	// Unanimous inputs: {p0,p1} is 1-univalent, so no bivalence
 	// certificate exists; the budget caps the refutation.
 	inputs := []model.Value{"1", "1", "1"}

@@ -58,7 +58,7 @@ func Opposite(v model.Value) model.Value {
 // queryKey identifies a valency query: the 128-bit fingerprint of the
 // configuration's canonical key plus the process set as a bitmask. As in
 // the explore package, fingerprint equality is trusted as key equality: a
-// false memo hit needs a 128-bit FNV collision, whose probability across
+// false memo hit needs a 128-bit mix128 collision, whose probability across
 // any feasible number of queries is far below that of a hardware fault.
 type queryKey struct {
 	fp   explore.Fingerprint

@@ -219,7 +219,7 @@ func TestProfileFloodN2(t *testing.T) {
 // Decidable call per configuration, none for absorption.
 func TestProfileAbsorptionReusesVerdicts(t *testing.T) {
 	disk := consensus.DiskRace{}
-	o := New(explore.Options{KeyTo: disk.CanonicalKeyTo})
+	o := New(explore.Options{Canon: disk})
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	// Advance the pair deterministically before profiling: the landscape
 	// from the initial configuration is ~12k configurations (a minute of
