@@ -9,7 +9,7 @@
 //
 //	benchreport [-out BENCH_explore.json] [-check] [-baseline old.json]
 //	            [-debug-addr host:port] [-trace-out trace.jsonl] [-record-every 250ms]
-//	            [-checkpoint-dir dir] [-checkpoint-every 5s] [-resume] [-spill-budget bytes]
+//	            [-checkpoint-dir dir] [-checkpoint-every 5s] [-resume]
 //
 // Every run records the final observability snapshot (memo hit rates, peak
 // frontier, dedup hits) in the report's "metrics" object and the flight
@@ -96,13 +96,11 @@ type TheoremRun struct {
 }
 
 // CheckpointStats summarises the checkpointed Theorem 1 n=4 row: how many
-// snapshots it wrote, how big they were, how much frontier spilled to disk,
-// and what crash safety cost relative to the unchecked row.
+// snapshots it wrote, how big they were, and what crash safety cost
+// relative to the unchecked row.
 type CheckpointStats struct {
-	Writes      int   `json:"writes"`
-	Bytes       int64 `json:"bytes"`
-	SpillChunks int64 `json:"spill_chunks"`
-	SpillBytes  int64 `json:"spill_bytes"`
+	Writes int   `json:"writes"`
+	Bytes  int64 `json:"bytes"`
 	// OverheadFrac is (checkpointed - plain) / plain elapsed time for the
 	// DiskRace n=4 row; the roadmap target is < 0.05 at the default 5s
 	// interval.
@@ -270,7 +268,7 @@ func measureTheorem1Engine(engine *adversary.Engine, protocol model.Machine, n i
 // checkpointedN4 reruns the DiskRace n=4 Theorem 1 row with crash-safe
 // snapshots attached and reports the row plus its checkpoint counters.
 // plain is the unchecked row it is compared against for overhead.
-func checkpointedN4(plain TheoremRun, scope *obs.Scope, dir string, every time.Duration, resume bool, spillBudget int64) (TheoremRun, *CheckpointStats, error) {
+func checkpointedN4(plain TheoremRun, scope *obs.Scope, dir string, every time.Duration, resume bool) (TheoremRun, *CheckpointStats, error) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "benchreport-ckpt-")
 		if err != nil {
@@ -281,16 +279,10 @@ func checkpointedN4(plain TheoremRun, scope *obs.Scope, dir string, every time.D
 	}
 	opts := diskOpts()
 	opts.Obs = scope
-	if spillBudget > 0 {
-		opts.SpillDir = dir
-		opts.SpillBudget = spillBudget
-	}
 	engine, coord, _, err := adversary.Open(opts, consensus.DiskRace{}.Name(), 4, dir, every, resume, scope)
 	if err != nil {
 		return TheoremRun{}, nil, fmt.Errorf("checkpoint dir %s: %w", dir, err)
 	}
-	spillChunks := scope.Counter("spill_chunks").Value()
-	spillBytes := scope.Counter("spill_bytes").Value()
 	tr := measureTheorem1Engine(engine, consensus.DiskRace{}, 4, 10*time.Minute)
 	tr.Checkpointed = true
 	// Persist the finished memo (outside the timed window) so a pinned
@@ -299,12 +291,7 @@ func checkpointedN4(plain TheoremRun, scope *obs.Scope, dir string, every time.D
 		fmt.Fprintln(os.Stderr, "benchreport: final checkpoint:", err)
 	}
 	writes, bytes := coord.Stats()
-	st := &CheckpointStats{
-		Writes:      writes,
-		Bytes:       bytes,
-		SpillChunks: scope.Counter("spill_chunks").Value() - spillChunks,
-		SpillBytes:  scope.Counter("spill_bytes").Value() - spillBytes,
-	}
+	st := &CheckpointStats{Writes: writes, Bytes: bytes}
 	if plain.Completed && tr.Completed && plain.ElapsedSec > 0 {
 		st.OverheadFrac = (tr.ElapsedSec - plain.ElapsedSec) / plain.ElapsedSec
 	}
@@ -321,7 +308,6 @@ func run() (int, error) {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the checkpointed n=4 row's snapshots (empty = temp dir, deleted on exit)")
 	ckptEvery := flag.Duration("checkpoint-every", 5*time.Second, "minimum interval between snapshots in the checkpointed row")
 	resume := flag.Bool("resume", false, "resume the checkpointed n=4 row from its newest snapshot in -checkpoint-dir")
-	spillBudget := flag.Int64("spill-budget", 0, "in-memory frontier budget for the checkpointed row; beyond it chunks spill to disk (0 = never)")
 	flag.Parse()
 	if *resume && *ckptDir == "" {
 		return 1, fmt.Errorf("-resume requires -checkpoint-dir")
@@ -441,7 +427,7 @@ func run() (int, error) {
 	// report. Runs against a throwaway temp directory unless the operator
 	// pins one with -checkpoint-dir.
 	ckptRow, ckptStats, err := checkpointedN4(rep.Theorem1[len(rep.Theorem1)-1], scope,
-		*ckptDir, *ckptEvery, *resume, *spillBudget)
+		*ckptDir, *ckptEvery, *resume)
 	if err != nil {
 		return 1, err
 	}
@@ -473,8 +459,8 @@ func run() (int, error) {
 			name, tr.N, tr.ElapsedSec, tr.OracleConfigs, status)
 	}
 	if rep.Checkpoint != nil {
-		fmt.Printf("checkpointing: %d snapshots, %d bytes, %d spill chunks, %.1f%% overhead vs unchecked n=4\n",
-			rep.Checkpoint.Writes, rep.Checkpoint.Bytes, rep.Checkpoint.SpillChunks, 100*rep.Checkpoint.OverheadFrac)
+		fmt.Printf("checkpointing: %d snapshots, %d bytes, %.1f%% overhead vs unchecked n=4\n",
+			rep.Checkpoint.Writes, rep.Checkpoint.Bytes, 100*rep.Checkpoint.OverheadFrac)
 	}
 
 	if *check {

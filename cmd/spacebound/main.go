@@ -7,7 +7,7 @@
 //
 //	spacebound [-protocol diskrace] [-n 3] [-max-configs 0] [-workers 0] [-timeout 0] [-figures] [-transcript]
 //	           [-debug-addr host:port] [-trace-out trace.jsonl]
-//	           [-checkpoint-dir dir] [-checkpoint-every 30s] [-resume] [-spill-budget bytes]
+//	           [-checkpoint-dir dir] [-checkpoint-every 30s] [-resume]
 //	           [-witness-out witness.txt] [-server http://host:port]
 //	spacebound -coordinator host:port [-protocol p] [-n n] [-dist-slices 3]
 //	           [-dist-max-depth 0] [-dist-lease 2s] [-dist-linger 2s] [-witness-out w.txt]
@@ -60,9 +60,8 @@
 // memo, proof stage, in-flight BFS frontier) every -checkpoint-every;
 // -resume restarts from the newest intact snapshot in that directory, and
 // with Workers:1 the resumed run's witness is byte-identical to an
-// uninterrupted one. -spill-budget bounds the in-memory BFS frontier,
-// spilling cold chunks to <checkpoint-dir>/spill beyond it. -witness-out
-// writes the rendered witness atomically alongside a .sha256 sidecar.
+// uninterrupted one. -witness-out writes the rendered witness atomically
+// alongside a .sha256 sidecar.
 //
 // Every completed witness is re-verified by an independent replay
 // (check.VerifyWitness) before the program exits 0.
@@ -81,7 +80,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/adversary"
@@ -135,7 +133,6 @@ func run() error {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for crash-safe snapshots (empty = off)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "minimum interval between snapshots")
 	resume := flag.Bool("resume", false, "resume from the newest snapshot in -checkpoint-dir")
-	spillBudget := flag.Int64("spill-budget", 0, "approximate in-memory frontier budget in bytes; beyond it cold chunks spill to <checkpoint-dir>/spill (0 = never spill)")
 	witnessOut := flag.String("witness-out", "", "write the rendered witness here atomically, with a .sha256 sidecar (empty = off)")
 	serverURL := flag.String("server", "", "submit to a provesrv instance at this base URL instead of running locally")
 	df := distFlags{}
@@ -202,9 +199,6 @@ func run() error {
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
-	if *spillBudget > 0 && *ckptDir == "" {
-		return fmt.Errorf("-spill-budget requires -checkpoint-dir (spill files live under it)")
-	}
 
 	m, opts, err := core.Machine(*protocol)
 	if err != nil {
@@ -227,13 +221,6 @@ func run() error {
 		}
 	}()
 	opts.Obs = scope
-	if *spillBudget > 0 {
-		opts.SpillDir = filepath.Join(*ckptDir, "spill")
-		opts.SpillBudget = *spillBudget
-		if err := os.MkdirAll(opts.SpillDir, 0o755); err != nil {
-			return fmt.Errorf("spill dir: %w", err)
-		}
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

@@ -127,32 +127,6 @@ func TestArenaPathsReplay(t *testing.T) {
 	}
 }
 
-// TestArenaSpillMatchesLegacySpill drives Reach through the spill path
-// (budget 1 spills every batch) and demands the naive reference's visit
-// sequence: the packed spill chunks must round-trip through disk without
-// changing a single visit.
-func TestArenaSpillMatchesLegacySpill(t *testing.T) {
-	c := model.NewConfig(chainMachine{}, []model.Value{"4", "4"})
-	p := []int{0, 1}
-	opts := Options{Workers: 1, SpillDir: t.TempDir(), SpillBudget: 1}
-	var keys []string
-	if _, err := Reach(context.Background(), c, p, opts, func(v Visit) bool {
-		keys = append(keys, opts.ConfigKey(v.Config))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	naive := naiveReach(c, p, opts)
-	if len(keys) != len(naive.keys) {
-		t.Fatalf("spilled Reach visited %d configs, naive %d", len(keys), len(naive.keys))
-	}
-	for i := range keys {
-		if keys[i] != naive.keys[i] {
-			t.Fatalf("visit %d: spilled Reach %q, naive %q", i, keys[i], naive.keys[i])
-		}
-	}
-}
-
 // TestMixWordsDistinctness hammers the packed-record hash with structured
 // near-identical inputs (the regime raw pre-dedup lives in: records
 // differing in a couple of dictionary ids) and demands zero collisions.

@@ -36,29 +36,24 @@ func (sn *Snapshotter) Depth() int { return sn.depth }
 func (sn *Snapshotter) Count() int { return sn.res.Count }
 
 // Data materialises the frozen search state: the search fields of a
-// checkpoint.QueryData, leaving the query key and Found to the caller. The
-// error is non-nil only when a spilled frontier chunk cannot be read back.
-func (sn *Snapshotter) Data() (*checkpoint.QueryData, error) {
-	frontierIDs, err := sn.level.allIDs()
-	if err != nil {
-		return nil, err
-	}
+// checkpoint.QueryData, leaving the query key and Found to the caller.
+func (sn *Snapshotter) Data() *checkpoint.QueryData {
 	cp := &checkpoint.QueryData{
 		Depth:        sn.depth,
 		Count:        sn.res.Count,
 		Steps:        sn.res.Steps,
 		PeakFrontier: sn.res.PeakFrontier,
 		Nodes:        make([]checkpoint.Node, len(sn.res.nodes)),
-		Frontier:     make([]int, len(frontierIDs)),
+		Frontier:     make([]int, len(sn.level.ids)),
 		Fingerprints: sn.s.visited.dump(),
 	}
 	for i, n := range sn.res.nodes {
 		cp.Nodes[i] = checkpoint.Node{Parent: int(n.parent), Depth: int(n.depth), Move: model.UnpackMove(n.via)}
 	}
-	for i, id := range frontierIDs {
+	for i, id := range sn.level.ids {
 		cp.Frontier[i] = int(id)
 	}
-	return cp, nil
+	return cp
 }
 
 // restore rebuilds the search state from a checkpoint: counters and node

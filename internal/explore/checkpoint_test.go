@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"os"
 	"reflect"
 	"testing"
 
@@ -59,11 +58,7 @@ func TestReachSnapshotResumeEquivalent(t *testing.T) {
 	snapOpts := opts
 	snapOpts.Snapshot = func(sn *Snapshotter) {
 		if cp == nil && sn.Depth() == 2 {
-			data, err := sn.Data()
-			if err != nil {
-				t.Errorf("Data: %v", err)
-				return
-			}
+			data := sn.Data()
 			cp = data
 		}
 	}
@@ -95,81 +90,6 @@ func TestReachSnapshotResumeEquivalent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pathsOf(t, resRes), pathsOf(t, fullRes)) {
 		t.Fatal("resumed witness paths diverge from uninterrupted run")
-	}
-}
-
-// TestReachSpillEquivalence forces the governor to spill after nearly every
-// discovered entry and checks the run is indistinguishable from an
-// unspilled one, with no spill files left behind.
-func TestReachSpillEquivalence(t *testing.T) {
-	c := model.NewConfig(chainMachine{}, []model.Value{"4", "4"})
-	p := []int{0, 1}
-	base := Options{Workers: 1}
-
-	plainRes, plainVisits := collectVisits(t, c, p, base)
-
-	dir := t.TempDir()
-	spillOpts := base
-	spillOpts.SpillDir = dir
-	spillOpts.SpillBudget = 1 // spill on every add
-	spillRes, spillVisits := collectVisits(t, c, p, spillOpts)
-
-	if !reflect.DeepEqual(spillVisits, plainVisits) {
-		t.Fatalf("spilled visits diverge:\n got %v\nwant %v", spillVisits, plainVisits)
-	}
-	if spillRes.Count != plainRes.Count || spillRes.Depth != plainRes.Depth || spillRes.Steps != plainRes.Steps {
-		t.Fatalf("spilled result (count %d depth %d steps %d) != plain (count %d depth %d steps %d)",
-			spillRes.Count, spillRes.Depth, spillRes.Steps, plainRes.Count, plainRes.Depth, plainRes.Steps)
-	}
-	if !reflect.DeepEqual(pathsOf(t, spillRes), pathsOf(t, plainRes)) {
-		t.Fatal("spilled witness paths diverge")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d spill files left behind after completed run", len(entries))
-	}
-}
-
-// TestReachSpillSnapshotResume snapshots a run whose frontier is partly on
-// disk and resumes from it: spilled entries must appear in the checkpoint
-// frontier, and the resumed run must match the uninterrupted one.
-func TestReachSpillSnapshotResume(t *testing.T) {
-	c := model.NewConfig(chainMachine{}, []model.Value{"4", "4"})
-	p := []int{0, 1}
-	base := Options{Workers: 1}
-	fullRes, fullVisits := collectVisits(t, c, p, base)
-
-	var cp *checkpoint.QueryData
-	spillOpts := base
-	spillOpts.SpillDir = t.TempDir()
-	spillOpts.SpillBudget = 1
-	spillOpts.Snapshot = func(sn *Snapshotter) {
-		if cp == nil && sn.Depth() == 3 {
-			data, err := sn.Data()
-			if err != nil {
-				t.Errorf("Data: %v", err)
-				return
-			}
-			cp = data
-		}
-	}
-	collectVisits(t, c, p, spillOpts)
-	if cp == nil {
-		t.Fatal("snapshot hook never captured depth 3")
-	}
-
-	// The resumed run does not need spilling to be on.
-	resumeOpts := base
-	resumeOpts.ResumeFrom = cp
-	resRes, resVisits := collectVisits(t, c, p, resumeOpts)
-	if !reflect.DeepEqual(resVisits, fullVisits[cp.Count:]) {
-		t.Fatalf("resumed visits diverge:\n got %v\nwant %v", resVisits, fullVisits[cp.Count:])
-	}
-	if !reflect.DeepEqual(pathsOf(t, resRes), pathsOf(t, fullRes)) {
-		t.Fatal("resumed witness paths diverge")
 	}
 }
 

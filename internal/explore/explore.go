@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/model"
@@ -102,15 +101,6 @@ type Options struct {
 	// under a different key function or cap is unsound, and the caller
 	// (internal/valency) enforces that match.
 	ResumeFrom *checkpoint.QueryData
-	// SpillDir, with a positive SpillBudget, enables the frontier spill
-	// governor: when the accumulating next level exceeds SpillBudget bytes
-	// of packed frontier records, cold chunks are flushed to files under
-	// SpillDir and read back when their turn comes.
-	// Spilling never changes visit order, ids or witness paths.
-	SpillDir string
-	// SpillBudget is the approximate in-memory frontier byte budget; <= 0
-	// disables spilling.
-	SpillBudget int64
 }
 
 // DefaultMaxConfigs is the visited-configuration cap used when
@@ -259,7 +249,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 //
 // visit returns the sets still open, and 0 stops the search, marking it
 // Capped. With one set this is Reach: p's moves in the order given, the
-// worker pool, spill and Options.Snapshot. With more, moves come from the
+// worker pool and Options.Snapshot. With more, moves come from the
 // union of the sets in pid order, and every parent is expanded on the
 // calling goroutine with its children visited before the next parent is
 // expanded, so a set the callback closes stops spreading at once. Such a
@@ -325,11 +315,9 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 	}
 	s.x = NewExpander(s.codec, opts)
 	defer s.stopWorkers()
-	gov := newSpillGovernor(&opts, s.stride)
 
 	var level, next frontier
 	level.stride, next.stride = s.stride, s.stride
-	defer func() { level.discard(); next.discard() }()
 	depth := int32(0)
 	if opts.ResumeFrom != nil {
 		if err := s.restore(opts.ResumeFrom, res, &level, c); err != nil {
@@ -359,11 +347,11 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		if masked {
 			rec = append(rec, all)
 		}
-		level.addPacked(0, rec, nil)
+		level.add(0, rec)
 	}
 
 	var buf batchBuf
-	for level.size() > 0 {
+	for len(level.ids) > 0 {
 		if opts.Snapshot != nil && !masked {
 			opts.Snapshot(&Snapshotter{s: s, res: res, level: &level, depth: int(depth)})
 		}
@@ -373,7 +361,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 			res.Capped = true
 			break
 		}
-		if n := level.size(); n > res.PeakFrontier {
+		if n := len(level.ids); n > res.PeakFrontier {
 			res.PeakFrontier = n
 		}
 		// The consumed frontier two levels back becomes the next
@@ -382,24 +370,12 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		// (see TestReachFrontierBoundedLiveHeap).
 		next.clear()
 		levelDups := 0
-		// Drain the level batch by batch — each spilled chunk, then the
-		// in-memory tail — merging every batch's chunks in their
-		// deterministic order: IDs, visit order and caps depend on neither
-		// the worker count nor the spill layout.
+		// Drain the level batch by batch, merging every batch's chunks in
+		// their deterministic order: IDs, visit order and caps do not
+		// depend on the worker count.
 		err := func() error {
 			for bi := 0; bi < level.numBatches(); bi++ {
-				var reloadStart time.Time
-				isSpill := bi < len(level.spilled) && s.metrics.enabled()
-				if isSpill {
-					reloadStart = time.Now()
-				}
-				batch, err := level.batch(bi, &buf)
-				if err != nil {
-					return fmt.Errorf("reach frontier: %w (and %w)", err, ErrCapped)
-				}
-				if isSpill {
-					s.metrics.spillReloaded(time.Since(reloadStart))
-				}
+				batch := level.batch(bi, &buf)
 				// A masked batch is expanded one parent at a time.
 				step := len(batch)
 				if masked {
@@ -439,7 +415,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 							if res.Count >= maxConfigs {
 								return fmt.Errorf("reach hit %d configs: %w", maxConfigs, ErrCapped)
 							}
-							next.addPacked(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
+							next.add(id, ch.words[i*s.stride:(i+1)*s.stride])
 						}
 					}
 				}
@@ -451,14 +427,14 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 			res.Capped = true
 			return res, err
 		}
-		if next.size() > 0 {
+		if len(next.ids) > 0 {
 			res.Depth = int(depth) + 1
 		}
 		if opts.Obs != nil {
 			s.metrics.level(s, &next)
 			opts.Obs.ExploreLevel(obs.Level{
 				Depth:    int(depth) + 1,
-				Frontier: next.size(),
+				Frontier: len(next.ids),
 				Dup:      levelDups,
 				Configs:  res.Count,
 				Steps:    res.Steps,

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // searchMetrics are the flight-recorder instruments of one Reach call:
 // every pointer is resolved once at search start (nil scope → nil, no-op
@@ -26,21 +22,15 @@ type searchMetrics struct {
 	fpLoad    *obs.Gauge     // visited-set load factor, in permille
 	fpProbe   *obs.Histogram // sampled linear-probe displacement per lookup
 
-	dictStates   *obs.Gauge     // codec interned state count
-	dictVals     *obs.Gauge     // codec interned value count
-	dictStateSh  *obs.Gauge     // fullest state key-map shard (balance check)
-	dictValSh    *obs.Gauge     // fullest value key-map shard
-	spillReload  *obs.Histogram // per-chunk spill replay latency, micros
-	spillReloads *obs.Counter   // spilled chunks reloaded
+	dictStates  *obs.Gauge // codec interned state count
+	dictVals    *obs.Gauge // codec interned value count
+	dictStateSh *obs.Gauge // fullest state key-map shard (balance check)
+	dictValSh   *obs.Gauge // fullest value key-map shard
 }
 
 // ProbeLenBounds are the fixed buckets of the explore_fpset_probe_len
 // histogram: displacement 0 is a home-slot hit; the tail marks clustering.
 var ProbeLenBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64}
-
-// SpillReloadBoundsMicros are the fixed buckets of the
-// explore_spill_reload_us histogram.
-var SpillReloadBoundsMicros = []int64{100, 500, 1000, 5000, 10000, 50000, 100000, 500000, 1000000, 5000000}
 
 // fpSampleSlotsPerShard bounds the probe-displacement sample taken from
 // each visited-set stripe at a level boundary, so the sampling cost stays
@@ -51,21 +41,19 @@ const fpSampleSlotsPerShard = 128
 // yields all-nil, no-op instruments).
 func newSearchMetrics(s *obs.Scope) searchMetrics {
 	return searchMetrics{
-		rawHits:      s.Counter("explore_raw_prefilter_hits"),
-		stepHits:     s.Counter("explore_stepper_memo_hits"),
-		stepMisses:   s.Counter("explore_stepper_memo_misses"),
-		arenaWords:   s.Gauge("explore_arena_words"),
-		arenaPeak:    s.Gauge("explore_arena_peak_words"),
-		mergeBytes:   s.Counter("explore_arena_merge_bytes"),
-		fpEntries:    s.Gauge("explore_fpset_entries"),
-		fpLoad:       s.Gauge("explore_fpset_load_permille"),
-		fpProbe:      s.Histogram("explore_fpset_probe_len", ProbeLenBounds),
-		dictStates:   s.Gauge("explore_codec_dict_states"),
-		dictVals:     s.Gauge("explore_codec_dict_values"),
-		dictStateSh:  s.Gauge("explore_codec_state_shard_max"),
-		dictValSh:    s.Gauge("explore_codec_value_shard_max"),
-		spillReload:  s.Histogram("explore_spill_reload_us", SpillReloadBoundsMicros),
-		spillReloads: s.Counter("explore_spill_reloads"),
+		rawHits:     s.Counter("explore_raw_prefilter_hits"),
+		stepHits:    s.Counter("explore_stepper_memo_hits"),
+		stepMisses:  s.Counter("explore_stepper_memo_misses"),
+		arenaWords:  s.Gauge("explore_arena_words"),
+		arenaPeak:   s.Gauge("explore_arena_peak_words"),
+		mergeBytes:  s.Counter("explore_arena_merge_bytes"),
+		fpEntries:   s.Gauge("explore_fpset_entries"),
+		fpLoad:      s.Gauge("explore_fpset_load_permille"),
+		fpProbe:     s.Histogram("explore_fpset_probe_len", ProbeLenBounds),
+		dictStates:  s.Gauge("explore_codec_dict_states"),
+		dictVals:    s.Gauge("explore_codec_dict_values"),
+		dictStateSh: s.Gauge("explore_codec_state_shard_max"),
+		dictValSh:   s.Gauge("explore_codec_value_shard_max"),
 	}
 }
 
@@ -96,14 +84,3 @@ func (m *searchMetrics) level(s *search, next *frontier) {
 	m.dictStateSh.Set(int64(maxSS))
 	m.dictValSh.Set(int64(maxVS))
 }
-
-// spillReloaded records one spilled chunk's replay-from-disk latency.
-func (m *searchMetrics) spillReloaded(d time.Duration) {
-	m.spillReloads.Add(1)
-	m.spillReload.Observe(d.Microseconds())
-}
-
-// enabled reports whether the metrics were resolved from a live scope (the
-// all-nil instruments are harmless to drive, but the per-level sampling
-// walk is skippable work when observability is off).
-func (m *searchMetrics) enabled() bool { return m.rawHits != nil }

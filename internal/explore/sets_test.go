@@ -70,9 +70,8 @@ func runMasked(t *testing.T, c model.Config, sets [][]int, opts Options) (*Resul
 // TestReachSetsDeterministic: a search over the Lemma 1 sets visits the
 // same nodes — id, depth, mask and decided values — and counts the same
 // configurations at one worker, at four workers with the pool thresholds
-// forced low, and with every frontier record spilled to disk and read
-// back with its mask. Every node's path is an execution of each set its
-// mask names.
+// forced low, and at one worker with a live obs scope. Every node's path
+// is an execution of each set its mask names.
 func TestReachSetsDeterministic(t *testing.T) {
 	c, sets := lemma1Sets()
 	base := Options{Canon: consensus.DiskRace{}, MaxConfigs: 5000}
@@ -102,16 +101,13 @@ func TestReachSetsDeterministic(t *testing.T) {
 	forcePool(t)
 	par := base
 	par.Workers = 4
-	spill := seq
-	spill.SpillDir, spill.SpillBudget, spill.Obs = t.TempDir(), 2048, obs.NewScope(nil)
-	for name, opts := range map[string]Options{"workers4": par, "spill": spill} {
+	observed := seq
+	observed.Obs = obs.NewScope(nil)
+	for name, opts := range map[string]Options{"workers4": par, "obs": observed} {
 		res, got, _ := runMasked(t, c, sets, opts)
 		if res.Count != wantRes.Count || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d visits of %d configurations differ from the sequential %d of %d", name, len(got), res.Count, len(want), wantRes.Count)
 		}
-	}
-	if n := spill.Obs.Counter("spill_chunks").Value(); n < 10 {
-		t.Fatalf("%d spill chunks written, want the frontier spilled", n)
 	}
 }
 

@@ -37,7 +37,7 @@ type File interface {
 // call, and an fsync failure. It is the filesystem-side sibling of
 // CrashWriter: where a CrashWriter kills the process mid-write, a
 // FaultyFile keeps the process alive on a disk that has started lying,
-// which is exactly the condition under which spill chunks and checkpoint
+// which is exactly the condition under which checkpoint and journal
 // segments must fail typed instead of truncating silently.
 //
 // Faults mimic the kernel's behaviour: a budget that falls inside a Write

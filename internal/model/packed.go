@@ -28,8 +28,7 @@ import (
 //
 // Dictionary indices are assigned in discovery order, so packed words are
 // meaningful only relative to the codec instance that produced them: they
-// are an in-memory (and same-process spill-file) representation, never a
-// durable one. Durable identities — checkpoint fingerprints, memo keys —
+// are an in-memory representation, never a durable one. Durable identities — checkpoint fingerprints, memo keys —
 // remain hashes of canonical key bytes.
 
 var (

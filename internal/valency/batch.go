@@ -30,8 +30,8 @@ import (
 // candidates for which the path that reached it is candidate-only, so a
 // decided value found under bit k is a certificate for candidate k, with a
 // replayable witness path; every witness is replayed before it is kept.
-// With one open candidate the search is a plain packed, parallel,
-// spillable Reach; at its BFS level boundaries an attached checkpointer may
+// With one open candidate the search is a plain packed, parallel
+// Reach; at its BFS level boundaries an attached checkpointer may
 // snapshot it in flight, and a crash-resumed run re-enters it there. A
 // search over several candidates never snapshots: it is budget-bounded and
 // cheap to redo, and a crash-resumed run replays it onto the same memoised

@@ -122,10 +122,7 @@ func (o *Oracle) checkpointSearch(opts *explore.Options, key queryKey, limit int
 	if o.ckpt != nil {
 		opts.Snapshot = func(sn *explore.Snapshotter) {
 			o.ckpt.TickQuery(func() *checkpoint.QueryData {
-				data, err := sn.Data()
-				if err != nil {
-					return nil
-				}
+				data := sn.Data()
 				data.FP, data.Pids, data.MaxConfigs = key.fp, key.pids, limit
 				for val, id := range found {
 					data.Found = append(data.Found, checkpoint.Found{Value: string(val), ID: id})
