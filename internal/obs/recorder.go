@@ -110,7 +110,16 @@ func (rc *Recorder) Sample() {
 	if rc == nil {
 		return
 	}
-	s := &Sample{UnixMs: rc.now().UnixMilli(), Values: rc.reg.scalars(rc.names)}
+	rc.store(rc.take())
+}
+
+// take snapshots the registry without storing the sample.
+func (rc *Recorder) take() *Sample {
+	return &Sample{UnixMs: rc.now().UnixMilli(), Values: rc.reg.scalars(rc.names)}
+}
+
+// store writes s into the next ring slot.
+func (rc *Recorder) store(s *Sample) {
 	i := rc.seq.Add(1) - 1
 	rc.slots[i%uint64(len(rc.slots))].Store(s)
 }
@@ -134,8 +143,9 @@ func (rc *Recorder) Tick() {
 }
 
 // Start launches the background sampler: one immediate sample (so a
-// freshly started endpoint serves data before the first interval elapses),
-// then a rate-limited tick per interval until Stop. Safe on nil; a second
+// freshly started endpoint serves data before the first interval elapses,
+// skipped while nothing is registered, since it would hold no data), then
+// a rate-limited tick per interval until Stop. Safe on nil; a second
 // Start is a no-op until Stop.
 func (rc *Recorder) Start() {
 	if rc == nil {
@@ -149,7 +159,9 @@ func (rc *Recorder) Start() {
 	rc.stop = make(chan struct{})
 	rc.done = make(chan struct{})
 	rc.lastNs.Store(rc.now().UnixNano())
-	rc.Sample()
+	if s := rc.take(); len(s.Values) > 0 {
+		rc.store(s)
+	}
 	go func(stop, done chan struct{}) {
 		defer close(done)
 		t := time.NewTicker(rc.interval)
