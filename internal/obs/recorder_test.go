@@ -112,6 +112,21 @@ func TestRecorderStartStop(t *testing.T) {
 	}
 }
 
+// TestRecorderStartSkipsEmptyRegistry: Start's immediate sample is skipped
+// while nothing is registered, since it would serve a sample with no
+// values; the final sample at Stop still lands.
+func TestRecorderStartSkipsEmptyRegistry(t *testing.T) {
+	reg := NewRegistry()
+	rc := NewRecorder(reg, time.Hour, 8)
+	rc.Start()
+	reg.Gauge("explore_depth").Set(3)
+	rc.Stop()
+	ts := rc.Snapshot()
+	if len(ts.Samples) != 1 || ts.Samples[0].Values["explore_depth"] != 3 {
+		t.Fatalf("samples = %+v, want only the final one", ts.Samples)
+	}
+}
+
 // TestTimeseriesEndpointGolden locks the /timeseries JSON wire format
 // against testdata/timeseries_golden.json: a deterministic clock and a
 // scripted engine make the body byte-for-byte reproducible. Regenerate
