@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/consensus"
@@ -195,4 +196,47 @@ func TestLemma4NotBivalent(t *testing.T) {
 	if _, err := e.Lemma4(context.Background(), c, allPids(3)); err == nil {
 		t.Fatal("Lemma4 accepted a univalent configuration (all inputs equal)")
 	}
+}
+
+// TestLemma3BivalentCoverDeterministic repeats a Lemma 3 construction
+// whose covering set R is bivalent from cβ, where the lemma steers by
+// Verdict.Any's tie-break instead of a forced value. The case is DiskRace
+// n=4 with inputs 0,1,0,1 and R = {p0,p1}: every DiskRace process starts
+// poised on its first write, and after the block write β either of p0 and
+// p1 can still decide. Two runs in one process, each on a fresh oracle,
+// must return byte-identical witnesses, and the lemma's conclusion,
+// R∪{q} bivalent from cφβ, must hold.
+func TestLemma3BivalentCoverDeterministic(t *testing.T) {
+	ctx := context.Background()
+	c := model.NewConfig(consensus.DiskRace{}, []model.Value{"0", "1", "0", "1"})
+	r := []int{0, 1}
+	beta := model.MovesOf(model.BlockWrite(r))
+	vr, err := diskEngine().Oracle().Decidable(ctx, model.RunPath(c, beta), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vr.Decidable[valency.V0] || !vr.Decidable[valency.V1] {
+		t.Fatalf("R=%v decides only %v from cβ; the case no longer exercises a bivalent R", r, vr.Decidable)
+	}
+	witness := func() string {
+		e := diskEngine()
+		phi, q, err := e.Lemma3(ctx, c, allPids(4), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cphi := model.RunPath(c, phi)
+		biv, err := e.Oracle().Bivalent(ctx, model.RunPath(cphi, beta), append([]int{q}, r...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !biv {
+			t.Fatalf("R∪{p%d} not bivalent from cφβ", q)
+		}
+		return fmt.Sprintf("phi=%v q=%d\n%s\n", phi, q, cphi.Key())
+	}
+	first, second := witness(), witness()
+	if first != second {
+		t.Fatalf("Lemma 3 witnesses differ between runs:\n%s\n%s", first, second)
+	}
+	t.Logf("%s", first)
 }

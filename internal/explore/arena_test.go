@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/consensus"
 	"repro/internal/model"
@@ -255,5 +256,83 @@ func TestFPSetConcurrentAdds(t *testing.T) {
 	}
 	if s.Len() != perG {
 		t.Fatalf("Len = %d, want %d", s.Len(), perG)
+	}
+}
+
+// TestStripeLayout pins the false-sharing padding: every visited-set and
+// raw-cache stripe fills whole cache lines, and both stripe arrays start
+// on a line boundary of their set, so a field added to a stripe or a set
+// header cannot silently put two stripes' mutexes on one line.
+func TestStripeLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		size, offset uintptr
+	}{
+		{"fpShard", unsafe.Sizeof(fpShard{}), unsafe.Offsetof(FPSet{}.shards)},
+		{"rawShard", unsafe.Sizeof(rawShard{}), unsafe.Offsetof(rawCache{}.stripes)},
+	} {
+		if tc.size%cacheLine != 0 {
+			t.Errorf("%s is %d bytes, not a multiple of %d", tc.name, tc.size, cacheLine)
+		}
+		if tc.offset%cacheLine != 0 {
+			t.Errorf("%s array starts at offset %d, not a multiple of %d", tc.name, tc.offset, cacheLine)
+		}
+	}
+}
+
+// TestRawCacheBoundedAndExact drives the raw-duplicate cache directly: a
+// hit needs the full 128-bit digest, a stripe never grows past
+// rawCacheMax, and at the maximum a colliding insert evicts the older
+// digest, which then misses once and is recorded again.
+func TestRawCacheBoundedAndExact(t *testing.T) {
+	c := &rawCache{}
+	if c.seen(Fingerprint{}) || c.seen(Fingerprint{}) {
+		t.Fatal("the zero digest, the empty-slot marker, hit")
+	}
+	rng := rand.New(rand.NewSource(7))
+	fps := make([]Fingerprint, 200_000)
+	for i := range fps {
+		fps[i] = Fingerprint{rng.Uint64(), rng.Uint64()}
+		if c.seen(fps[i]) {
+			t.Fatalf("fresh digest %x hit", fps[i])
+		}
+	}
+	for i := range c.stripes {
+		if n := len(c.stripes[i].tbl); n > rawCacheMax {
+			t.Fatalf("stripe %d grew to %d slots, past the %d maximum", i, n, rawCacheMax)
+		}
+	}
+	// The last digest is still in its slot; a digest that shares its
+	// stripe and slot but differs in either word misses, and evicts it.
+	last := fps[len(fps)-1]
+	if !c.seen(last) {
+		t.Fatal("the most recent digest was forgotten")
+	}
+	for _, other := range []Fingerprint{{last[0], last[1] ^ 1<<63}, {last[0] ^ 1<<63, last[1]}} {
+		c.seen(last)
+		if c.seen(other) {
+			t.Fatalf("digest %x hit the slot holding %x", other, last)
+		}
+	}
+	forgotten := 0
+	for _, fp := range fps {
+		if !c.seen(fp) {
+			forgotten++
+		}
+	}
+	if forgotten == 0 {
+		t.Fatalf("%d digests into %d slots forgot none", len(fps), fpShards*rawCacheMax)
+	}
+
+	one := &rawCache{locked: true}
+	old := rawCacheMax
+	rawCacheMax = 1
+	defer func() { rawCacheMax = old }()
+	a, b := Fingerprint{0, 1}, Fingerprint{0, 2} // same stripe, same single slot
+	if one.seen(a) || !one.seen(a) {
+		t.Fatal("a one-slot stripe did not record its digest")
+	}
+	if one.seen(b) || one.seen(a) || !one.seen(a) {
+		t.Fatal("a one-slot stripe did not evict the older digest")
 	}
 }

@@ -43,15 +43,19 @@ func (sn *Snapshotter) Data() *checkpoint.QueryData {
 		Count:        sn.res.Count,
 		Steps:        sn.res.Steps,
 		PeakFrontier: sn.res.PeakFrontier,
-		Nodes:        make([]checkpoint.Node, len(sn.res.nodes)),
-		Frontier:     make([]int, len(sn.level.ids)),
+		Nodes:        make([]checkpoint.Node, 0, sn.res.nodes.len()),
+		Frontier:     make([]int, 0, sn.level.len()),
 		Fingerprints: sn.s.visited.dump(),
 	}
-	for i, n := range sn.res.nodes {
-		cp.Nodes[i] = checkpoint.Node{Parent: int(n.parent), Depth: int(n.depth), Move: model.UnpackMove(n.via)}
+	for _, page := range sn.res.nodes.pages {
+		for _, n := range page {
+			cp.Nodes = append(cp.Nodes, checkpoint.Node{Parent: int(n.parent), Depth: int(n.depth), Move: model.UnpackMove(n.via)})
+		}
 	}
-	for i, id := range sn.level.ids {
-		cp.Frontier[i] = int(id)
+	for _, page := range sn.level.pages[:sn.level.used] {
+		for _, id := range page.ids {
+			cp.Frontier = append(cp.Frontier, int(id))
+		}
 	}
 	return cp
 }
@@ -69,13 +73,12 @@ func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier,
 	if len(cp.Nodes) == 0 {
 		return fmt.Errorf("explore: resume checkpoint has no nodes")
 	}
-	res.nodes = make([]node, len(cp.Nodes))
 	for i, n := range cp.Nodes {
 		via, err := model.PackMove(n.Move)
 		if err != nil {
 			return fmt.Errorf("explore: resume node %d: %w", i, err)
 		}
-		res.nodes[i] = node{parent: int32(n.Parent), depth: int32(n.Depth), via: via}
+		res.nodes.add(node{parent: int32(n.Parent), depth: int32(n.Depth), via: via})
 	}
 	res.Count = cp.Count
 	res.Steps = cp.Steps
@@ -88,10 +91,8 @@ func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier,
 	if err != nil {
 		return fmt.Errorf("explore: resume frontier: %w", err)
 	}
-	level.ids = make([]int32, 0, len(cp.Frontier))
-	level.words = make([]uint64, len(cp.Frontier)*s.stride)
 	var path []uint32
-	for i, id := range cp.Frontier {
+	for _, id := range cp.Frontier {
 		var ok bool
 		if path, ok = res.packedPathTo(path, id); !ok {
 			return fmt.Errorf("explore: resume frontier: node id %d out of range", id)
@@ -100,8 +101,7 @@ func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier,
 		if err != nil {
 			return fmt.Errorf("explore: resume frontier: %w", err)
 		}
-		copy(level.words[i*s.stride:(i+1)*s.stride], rec)
-		level.ids = append(level.ids, int32(id))
+		level.add(int32(id), rec)
 	}
 	return nil
 }
@@ -111,11 +111,11 @@ func (s *search) restore(cp *checkpoint.QueryData, res *Result, level *frontier,
 // out-of-range ids.
 func (r *Result) packedPathTo(dst []uint32, id int) ([]uint32, bool) {
 	dst = dst[:0]
-	if id < 0 || id >= len(r.nodes) {
+	if id < 0 || id >= r.nodes.len() {
 		return dst, false
 	}
 	for id != 0 {
-		n := r.nodes[id]
+		n := r.nodes.at(id)
 		dst = append(dst, n.via)
 		id = int(n.parent)
 	}

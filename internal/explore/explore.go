@@ -15,8 +15,12 @@
 // keys (a false merge needs a fingerprint collision; for 10^8 states the
 // probability is below 10^-21), nodes retain only a parent index and the
 // packed connecting move for witness-path reconstruction, and the BFS
-// frontier itself is a flat arena of bit-packed dictionary-index records
-// (model.PackedCodec). A child is fingerprinted from its dictionary ids:
+// frontier itself is an arena of bit-packed dictionary-index records
+// (model.PackedCodec). The node forest and the frontier are kept in fixed
+// pages, so neither is copied as it grows, and transitions that rebuild a
+// recently produced record verbatim are screened out by a bounded, lossy
+// cache of record digests before any key is rendered. A child is
+// fingerprinted from its dictionary ids:
 // the codec keeps each interned state's and value's key template (its
 // canonical key bytes with the round fields cut out), so the child's key
 // is those templates with the configuration's rounds renumbered, and only
@@ -163,7 +167,48 @@ type Result struct {
 	// (the schedule length of the longest witness path).
 	Depth int
 
-	nodes []node
+	nodes forest
+}
+
+// forestPageBits sets the node forest's page size, 1<<forestPageBits
+// nodes. A variable so the differential tests can force many pages onto
+// tiny spaces.
+var forestPageBits = 16
+
+// forest is a search's node forest, indexed by node id, in pages of
+// 1<<shift nodes. A full page is never copied, so a large search allocates
+// each node about once instead of the about five times an append-grown
+// slice would. Page 0 alone grows by append, so the many tiny searches
+// allocate only for the nodes they keep.
+type forest struct {
+	pages [][]node
+	n     int
+	shift uint
+}
+
+func newForest() forest { return forest{shift: uint(forestPageBits)} }
+
+// len returns the number of nodes.
+func (f *forest) len() int { return f.n }
+
+// add appends nd as node f.len().
+func (f *forest) add(nd node) {
+	last := len(f.pages) - 1
+	if last < 0 || len(f.pages[last]) == 1<<f.shift {
+		var page []node
+		if last >= 0 {
+			page = make([]node, 0, 1<<f.shift)
+		}
+		f.pages = append(f.pages, page)
+		last++
+	}
+	f.pages[last] = append(f.pages[last], nd)
+	f.n++
+}
+
+// at returns node id, which must be below f.len().
+func (f *forest) at(id int) node {
+	return f.pages[id>>f.shift][id&(1<<f.shift-1)]
 }
 
 // PathTo reconstructs the move sequence from the root to the visited
@@ -255,7 +300,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 // expanded, so a set the callback closes stops spreading at once. Such a
 // search never calls Options.Snapshot and refuses Options.ResumeFrom.
 func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, visit func(Visit) uint64) (*Result, error) {
-	res := &Result{}
+	res := &Result{nodes: newForest()}
 	maxConfigs := opts.maxConfigs()
 	if err := ctx.Err(); err != nil {
 		res.Capped = true
@@ -291,8 +336,9 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 
 	// A search that never starts the pool only ever touches its sets from
 	// this goroutine, so they can skip their stripe mutexes.
+	locked := !masked && opts.workers() > 1
 	mkSet := newFPSet
-	if masked || opts.workers() <= 1 {
+	if !locked {
 		mkSet = NewLocalFPSet
 	}
 	s := &search{
@@ -304,7 +350,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		masked:     masked,
 		maxConfigs: maxConfigs,
 		visited:    mkSet(),
-		rawSeen:    mkSet(),
+		rawSeen:    &rawCache{locked: locked},
 		codec:      model.NewCanonCodec(c, opts.Canon),
 		metrics:    newSearchMetrics(opts.Obs),
 	}
@@ -335,7 +381,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		}
 		all := s.open
 		s.visited.add(fp, all)
-		res.nodes = append(res.nodes, node{parent: 0})
+		res.nodes.add(node{parent: 0})
 		res.Count = 1
 		res.PeakFrontier = 1
 		if visit != nil {
@@ -351,7 +397,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 	}
 
 	var buf batchBuf
-	for len(level.ids) > 0 {
+	for level.len() > 0 {
 		if opts.Snapshot != nil && !masked {
 			opts.Snapshot(&Snapshotter{s: s, res: res, level: &level, depth: int(depth)})
 		}
@@ -361,7 +407,7 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 			res.Capped = true
 			break
 		}
-		if n := len(level.ids); n > res.PeakFrontier {
+		if n := level.len(); n > res.PeakFrontier {
 			res.PeakFrontier = n
 		}
 		// The consumed frontier two levels back becomes the next
@@ -402,8 +448,8 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 									return fmt.Errorf("reach cancelled after %d configs: %w (and %w)", res.Count, err, ErrCapped)
 								}
 							}
-							id := int32(len(res.nodes))
-							res.nodes = append(res.nodes, node{parent: sl.parent, depth: depth + 1, via: sl.via})
+							id := int32(res.nodes.len())
+							res.nodes.add(node{parent: sl.parent, depth: depth + 1, via: sl.via})
 							if sl.fresh {
 								res.Count++
 							}
@@ -427,14 +473,14 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 			res.Capped = true
 			return res, err
 		}
-		if len(next.ids) > 0 {
+		if next.len() > 0 {
 			res.Depth = int(depth) + 1
 		}
 		if opts.Obs != nil {
 			s.metrics.level(s, &next)
 			opts.Obs.ExploreLevel(obs.Level{
 				Depth:    int(depth) + 1,
-				Frontier: len(next.ids),
+				Frontier: next.len(),
 				Dup:      levelDups,
 				Configs:  res.Count,
 				Steps:    res.Steps,

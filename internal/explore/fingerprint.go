@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -98,9 +99,9 @@ func mix128(p []byte) Fingerprint {
 // words mean equal configurations, and a second, cheaper hash over the
 // words lets the hot path skip the canonical key stream for the (majority
 // of) transitions that recreate an already-seen record verbatim. The
-// resulting fingerprints live in their own set — they use dictionary ids,
-// which are instance-scoped, so they are never persisted or compared with
-// canonical fingerprints.
+// resulting fingerprints live in their own cache (rawCache) — they use
+// dictionary ids, which are instance-scoped, so they are never persisted
+// or compared with canonical fingerprints.
 func mixWords(ws []uint64) Fingerprint {
 	n := uint64(len(ws))
 	h1 := mixK0 ^ n*mixK2
@@ -186,6 +187,12 @@ func (f *Fingerprinter) Fingerprint(c model.Config) Fingerprint {
 // per-stripe padding stays cheap.
 const fpShards = 64
 
+// cacheLine is the padding unit of the striped sets: each stripe fills
+// whole cache lines, and the stripe arrays start on a line boundary, so
+// neighbouring stripes' mutexes do not false-share under contention
+// (TestStripeLayout holds the layout).
+const cacheLine = 64
+
 // fpShard is one stripe: an open-addressed, linearly probed table of
 // fingerprints. Fingerprints are already uniform 128-bit hashes, so slots
 // are probed straight from the fingerprint bits — no secondary hashing —
@@ -195,15 +202,18 @@ const fpShards = 64
 // set's shards keep each fingerprint's candidate mask in masks, parallel
 // to tbl; an unmasked set allocates none.
 type fpShard struct {
+	fpStripe
+	_ [cacheLine - unsafe.Sizeof(fpStripe{})%cacheLine]byte
+}
+
+// fpStripe is fpShard's content, unpadded.
+type fpStripe struct {
 	mu       sync.Mutex
 	tbl      []Fingerprint
 	masks    []uint64
 	n        int
 	zero     bool
 	zeroMask uint64
-	// Pad each shard past a cache line so neighbouring mutexes do not
-	// false-share under contention.
-	_ [16]byte
 }
 
 // add inserts fp, ORing mask into its candidate mask when the set is
@@ -246,13 +256,24 @@ func (sh *fpShard) add(fp Fingerprint, mask uint64, masked bool) (uint64, bool) 
 	}
 }
 
-// grow quadruples the shard table (from a 128-slot floor) and reinserts.
-// The aggressive factor keeps total rehash work near n/3 inserts — visited
-// sets only ever grow, so oversizing one step is cheaper than re-moving
-// the same fingerprints an extra time.
+// fpQuadrupleBelow is the stripe size, in slots, up to which grow
+// quadruples the table; from it on grow doubles.
+const fpQuadrupleBelow = 4096
+
+// grow enlarges the shard table (from a 128-slot floor) and reinserts. A
+// small table quadruples: visited sets only ever grow, and the many tiny
+// searches then rehash seldom. From fpQuadrupleBelow slots on it doubles,
+// so a large set's load stays between 0.375 and 0.75 instead of falling
+// to 0.19 after a step: the live table is at most twice the size its
+// fingerprints need rather than four times. The price is rehash work: a
+// doubling table re-moves each fingerprint one to two times over its
+// life, a quadrupling one a third of a time to once.
 func (sh *fpShard) grow(masked bool) {
 	old, oldMasks := sh.tbl, sh.masks
-	size := 4 * len(old)
+	size := 2 * len(old)
+	if len(old) < fpQuadrupleBelow {
+		size = 4 * len(old)
+	}
 	if size < 128 {
 		size = 128
 	}
@@ -286,14 +307,22 @@ func (sh *fpShard) grow(masked bool) {
 // masked set, ReachSets' visited set over several process sets, also keeps
 // a candidate mask per fingerprint.
 type FPSet struct {
-	count  atomic.Int64
-	locked bool
-	masked bool
+	fpSetHeader
+	_      [cacheLine - unsafe.Sizeof(fpSetHeader{})%cacheLine]byte
 	shards [fpShards]fpShard
 }
 
+// fpSetHeader is FPSet's fields before the stripes.
+type fpSetHeader struct {
+	count  atomic.Int64
+	locked bool
+	masked bool
+}
+
 func newFPSet() *FPSet {
-	return &FPSet{locked: true}
+	s := &FPSet{}
+	s.locked = true
+	return s
 }
 
 // NewLocalFPSet returns an empty FPSet for a single goroutine's use.
@@ -323,6 +352,93 @@ func (s *FPSet) add(fp Fingerprint, mask uint64) (uint64, bool) {
 		s.count.Add(1)
 	}
 	return held, fresh
+}
+
+// rawCacheStart is a raw-cache stripe's first table size, in slots.
+const rawCacheStart = 32
+
+// rawCacheMax is the largest table a raw-cache stripe grows to, in slots:
+// a power of two, so 64 stripes hold at most 4 MB. A variable so the
+// differential tests can force eviction onto tiny spaces.
+var rawCacheMax = 4096
+
+// rawCache is Reach's raw-duplicate pre-filter: a bounded, lossy set of
+// mixWords digests of packed records, striped like FPSet. Each stripe is a
+// direct-mapped table that starts at rawCacheStart slots and doubles,
+// whenever more than half its slots are filled, up to rawCacheMax; from
+// then on an insert that lands on an occupied slot overwrites it,
+// forgetting the older record. A hit still needs the full 128-bit digest,
+// so it is as exact as a visited-set hit; a forgotten record costs only
+// the canonical fingerprint that the visited set then rejects. The zero
+// digest marks an empty slot and is never recorded, so it always misses.
+// An unlocked cache skips the stripe mutexes, which is sound only while
+// one goroutine owns it, as for NewLocalFPSet.
+type rawCache struct {
+	stripes [fpShards]rawShard
+	locked  bool
+}
+
+// rawShard is one raw-cache stripe, padded like fpShard.
+type rawShard struct {
+	rawStripe
+	_ [cacheLine - unsafe.Sizeof(rawStripe{})%cacheLine]byte
+}
+
+// rawStripe is rawShard's content, unpadded: the table and its count of
+// filled slots.
+type rawStripe struct {
+	mu  sync.Mutex
+	tbl []Fingerprint
+	n   int
+}
+
+// seen reports whether fp is recorded, and records it if not.
+func (c *rawCache) seen(fp Fingerprint) bool {
+	if fp == (Fingerprint{}) {
+		return false
+	}
+	sh := &c.stripes[fp[0]&(fpShards-1)]
+	if c.locked {
+		sh.mu.Lock()
+	}
+	hit := sh.seen(fp)
+	if c.locked {
+		sh.mu.Unlock()
+	}
+	return hit
+}
+
+// seen is rawCache.seen on one stripe; the caller holds sh.mu. Like
+// fpShard, it indexes by fp[1], since fp[0]'s low bits picked the stripe.
+func (sh *rawStripe) seen(fp Fingerprint) bool {
+	if sh.tbl == nil {
+		sh.tbl = make([]Fingerprint, min(rawCacheStart, rawCacheMax))
+	}
+	i := fp[1] & uint64(len(sh.tbl)-1)
+	switch sh.tbl[i] {
+	case fp:
+		return true
+	case Fingerprint{}:
+		sh.n++
+	}
+	sh.tbl[i] = fp
+	if 2*sh.n > len(sh.tbl) && len(sh.tbl) < rawCacheMax {
+		sh.grow()
+	}
+	return false
+}
+
+// grow doubles the stripe's table. Entries from distinct old slots land in
+// distinct new ones, so growing forgets nothing.
+func (sh *rawStripe) grow() {
+	old := sh.tbl
+	sh.tbl = make([]Fingerprint, 2*len(old))
+	mask := uint64(len(sh.tbl) - 1)
+	for _, fp := range old {
+		if fp != (Fingerprint{}) {
+			sh.tbl[fp[1]&mask] = fp
+		}
+	}
 }
 
 // Len returns the number of distinct fingerprints inserted so far. It may

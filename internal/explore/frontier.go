@@ -1,33 +1,62 @@
 package explore
 
-// Frontier storage. A BFS level is two flat arrays — node ids and a
-// contiguous []uint64 arena of fixed-width packed records, stride words
-// per entry — expanded arenaBatch entries at a time, in visit order.
+// Frontier storage. A BFS level is a run of pages, each holding up to
+// arenaBatch entries as two flat arrays — node ids and a contiguous
+// []uint64 arena of fixed-width packed records, stride words per entry —
+// and is expanded one page, one batch, at a time, in visit order.
 
-// arenaBatch is how many packed frontier entries one expansion batch
-// holds: large enough to amortise dispatch, small enough that the batch's
-// slot configurations stay a rounding error next to the arena itself.
-const arenaBatch = 8192
+// arenaBatch is how many packed frontier entries one page, and so one
+// expansion batch, holds: large enough to amortise dispatch, small enough
+// that the batch's slot configurations stay a rounding error next to the
+// arena itself. A variable so the differential tests can force many pages
+// onto tiny spaces.
+var arenaBatch = 8192
 
-// frontier holds one BFS level in visit order.
+// frontierPage is one batch of a level: its entries' node ids and their
+// packed records.
+type frontierPage struct {
+	ids   []int32
+	words []uint64
+}
+
+// frontier holds one BFS level in visit order. Pages are kept when the
+// level is cleared, so a level reuses the pages of the one two levels
+// back, and a full page is never copied. Page 0 alone grows by append,
+// so the many tiny searches allocate only for the entries they hold;
+// later pages are allocated whole.
 type frontier struct {
 	// stride is the packed record width in words.
 	stride int
-	ids    []int32
-	words  []uint64
+	pages  []frontierPage
+	// used counts the pages holding this level's entries, n the entries.
+	used int
+	n    int
 }
 
 // add appends a freshly discovered entry: its node id and its stride-long
 // packed record.
 func (f *frontier) add(id int32, rec []uint64) {
-	f.ids = append(f.ids, id)
-	f.words = append(f.words, rec...)
+	if f.used == 0 || len(f.pages[f.used-1].ids) == arenaBatch {
+		if f.used == len(f.pages) {
+			var p frontierPage
+			if f.used > 0 {
+				p = frontierPage{ids: make([]int32, 0, arenaBatch), words: make([]uint64, 0, arenaBatch*f.stride)}
+			}
+			f.pages = append(f.pages, p)
+		}
+		f.used++
+	}
+	p := &f.pages[f.used-1]
+	p.ids = append(p.ids, id)
+	p.words = append(p.words, rec...)
+	f.n++
 }
 
-// numBatches returns how many arenaBatch slices the level drains in.
-func (f *frontier) numBatches() int {
-	return (len(f.ids) + arenaBatch - 1) / arenaBatch
-}
+// len returns the number of entries in the level.
+func (f *frontier) len() int { return f.n }
+
+// numBatches returns how many batches, one per page, the level drains in.
+func (f *frontier) numBatches() int { return f.used }
 
 // batchBuf is the coordinator's reusable entry window handed to the
 // expander. One buffer serves one search; a batch dies when the next is
@@ -36,11 +65,11 @@ type batchBuf struct {
 	entries []levelEntry
 }
 
-// batch returns the bi-th batch in frontier order, windowed into buf.
+// batch returns the bi-th batch in frontier order, page bi windowed into
+// buf.
 func (f *frontier) batch(bi int, buf *batchBuf) []levelEntry {
-	lo := bi * arenaBatch
-	hi := min(lo+arenaBatch, len(f.ids))
-	return buf.window(f.stride, f.ids[lo:hi], f.words[lo*f.stride:hi*f.stride])
+	p := &f.pages[bi]
+	return buf.window(f.stride, p.ids, p.words)
 }
 
 // window wraps a run of packed records as levelEntry values. Expansion
@@ -59,8 +88,11 @@ func (b *batchBuf) window(stride int, ids []int32, words []uint64) []levelEntry 
 }
 
 // clear empties a consumed frontier for reuse as the next accumulator,
-// keeping its backing arrays.
+// keeping its pages.
 func (f *frontier) clear() {
-	f.ids = f.ids[:0]
-	f.words = f.words[:0]
+	for i := range f.pages[:f.used] {
+		p := &f.pages[i]
+		p.ids, p.words = p.ids[:0], p.words[:0]
+	}
+	f.used, f.n = 0, 0
 }

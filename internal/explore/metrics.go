@@ -10,7 +10,10 @@ import "repro/internal/obs"
 // enabled-scope packed path to the same ≤4 allocs/config gate as the
 // disabled one.
 type searchMetrics struct {
-	rawHits    *obs.Counter // rawSeen pre-filter screens (subset of dedup hits)
+	// rawHits counts rawSeen pre-filter screens, a subset of the dedup
+	// hits: the cache is bounded and lossy, so a duplicate of a record it
+	// has forgotten is a dedup hit without being a screen.
+	rawHits    *obs.Counter
 	stepHits   *obs.Counter // stepper memo hits across all workers
 	stepMisses *obs.Counter // stepper memo misses (slow-path resolves)
 
@@ -74,7 +77,7 @@ func (m *searchMetrics) level(s *search, next *frontier) {
 	if slots > 0 {
 		m.fpLoad.Set(int64(n) * 1000 / int64(slots))
 	}
-	words := int64(len(next.words))
+	words := int64(next.len() * next.stride)
 	m.arenaWords.Set(words)
 	m.arenaPeak.Max(words)
 	m.mergeBytes.Add(words * 8)

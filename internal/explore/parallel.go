@@ -182,10 +182,13 @@ type search struct {
 	visited    *FPSet
 	// rawSeen pre-filters packed transitions by the hash of the packed
 	// record itself, skipping the canonical key stream for transitions that
-	// reproduce an already-seen record verbatim. It is a pure cache over
-	// instance-scoped dictionary ids: never persisted in checkpoints (a
-	// resumed search just rebuilds it) and never mixed with visited.
-	rawSeen *FPSet
+	// reproduce a recently produced record verbatim. It is a bounded, lossy
+	// cache over instance-scoped dictionary ids: a record it has forgotten
+	// is fingerprinted and rejected by visited, so only the pre-filter's
+	// hit count depends on what it keeps. It is never persisted in
+	// checkpoints (a resumed search starts it empty) and never mixed with
+	// visited.
+	rawSeen *rawCache
 	x       *Expander     // coordinator's own kernel, for inline expansion
 	metrics searchMetrics // flight-recorder instruments, resolved once per Reach
 
@@ -245,13 +248,14 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // capacity) is parked in ch.err for the coordinator.
 //
 // A raw-identity pre-filter (a hash of the packed record itself) screens
-// out transitions that rebuild an already-produced record before the
-// canonical key is ever streamed; only raw-fresh children are unpacked and
-// fingerprinted canonically. The pre-filter is a pure shortcut: packed
+// out transitions that rebuild a record the bounded rawSeen cache still
+// holds before the canonical key is ever streamed; only the other children
+// are fingerprinted canonically. The pre-filter is a pure shortcut: packed
 // records are exact, so a raw-duplicate's canonical fingerprint was
 // already added to the visited set when its identical twin was processed —
 // skipping it cannot change the visited set, the visit sequence or the
-// counters. A masked search keys the pre-filter on the record and the
+// counters, and a twin the cache has forgotten is rejected by the visited
+// set instead. A masked search keys the pre-filter on the record and the
 // child's mask together, so a hit means the visited set already holds
 // every bit of that mask.
 func (s *search) expandRange(ch *chunk, x *Expander) {
@@ -299,7 +303,7 @@ func (s *search) expandRange(ch *chunk, x *Expander) {
 				ch.rec = append(append(ch.rec[:0], child...), childMask)
 				key = ch.rec
 			}
-			if !s.rawSeen.Add(mixWords(key)) {
+			if s.rawSeen.seen(mixWords(key)) {
 				ch.rawHits++
 				ch.dupSteps++
 				continue

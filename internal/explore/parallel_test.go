@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/consensus"
@@ -267,4 +268,35 @@ func TestReachEnabledScopeKeepsAllocBound(t *testing.T) {
 		t.Fatalf("explore_depth = %v, want %d", got, depth+1)
 	}
 	t.Logf("%.2f allocs/config with metrics scope enabled", perConfig)
+}
+
+// TestReachBytesPerConfig bounds the bytes a large search allocates per
+// visited configuration, which the allocation-count gates cannot see: an
+// append-grown node forest or frontier, or a raw-duplicate pre-filter
+// sized to the whole search, allocates several times what the search
+// keeps in a handful of allocations. The run is DiskRace n=5 capped at
+// 262,144 configurations, at one worker and at two.
+func TestReachBytesPerConfig(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocations; the bound is a production one")
+	}
+	const maxBytesPerConfig = 250
+	disk := consensus.DiskRace{}
+	c := model.NewConfig(disk, []model.Value{"0", "1", "1", "1", "1"})
+	for _, workers := range []int{1, 2} {
+		opts := Options{Canon: disk, MaxConfigs: 262_144, Workers: workers}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Reach(context.Background(), c, []int{0, 1, 2, 3, 4}, opts, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCapped) {
+			t.Fatalf("workers=%d: err = %v, want the cap to bind", workers, err)
+		}
+		perConfig := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Count)
+		t.Logf("workers=%d: %.1f bytes/config over %d configs", workers, perConfig, res.Count)
+		if perConfig > maxBytesPerConfig {
+			t.Errorf("workers=%d: %.1f bytes allocated per configuration, bound %d", workers, perConfig, maxBytesPerConfig)
+		}
+	}
 }
