@@ -23,10 +23,9 @@
 // fingerprinted from its dictionary ids:
 // the codec keeps each interned state's and value's key template (its
 // canonical key bytes with the round fields cut out), so the child's key
-// is those templates with the configuration's rounds renumbered, and only
-// the children the visited set keeps are unpacked into configurations.
-// Callers inspect configurations in the visit callback,
-// while they are transiently available — Visit.Config must not be retained
+// is those templates with the configuration's rounds renumbered. A child
+// is unpacked into a configuration only for the visit callback, into
+// buffers the next visit overwrites, so Visit.Config must not be retained
 // past the callback's return (clone it if needed).
 //
 // The frontier is expanded level-synchronously by a pool of workers
@@ -139,8 +138,8 @@ type node struct {
 }
 
 // Visit is the information handed to the visit callback for each node, in
-// BFS order. Config is only guaranteed valid during the callback (the
-// frontier is released as the search advances); ID is stable and can be
+// BFS order. Config is only valid during the callback (the next visit
+// unpacks into the same buffers); ID is stable and can be
 // passed to Result.PathTo afterwards. Mask holds bit k when the node's
 // path is an execution of ReachSets' sets[k] alone; it is 1 in a Reach.
 type Visit struct {
@@ -411,8 +410,8 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 			res.PeakFrontier = n
 		}
 		// The consumed frontier two levels back becomes the next
-		// accumulator; clearing it drops its configuration references, so
-		// the frontier's live heap stays bounded by two adjacent levels
+		// accumulator; clearing it keeps its pages for reuse, so the
+		// frontier's live heap stays bounded by two adjacent levels
 		// (see TestReachFrontierBoundedLiveHeap).
 		next.clear()
 		levelDups := 0
@@ -453,15 +452,20 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 							if sl.fresh {
 								res.Count++
 							}
+							rec := ch.words[i*s.stride : (i+1)*s.stride]
 							if visit != nil {
-								if s.open = visit(Visit{Config: sl.cfg, ID: int(id), Depth: int(depth + 1), Mask: sl.mask}); s.open == 0 {
+								cfg, err := s.x.Unpack(rec[:s.codec.Words()])
+								if err != nil {
+									return fmt.Errorf("reach unpack after %d configs: %w (and %w)", res.Count, err, ErrCapped)
+								}
+								if s.open = visit(Visit{Config: cfg, ID: int(id), Depth: int(depth + 1), Mask: sl.mask}); s.open == 0 {
 									return fmt.Errorf("reach visit stop: %w", ErrCapped)
 								}
 							}
 							if res.Count >= maxConfigs {
 								return fmt.Errorf("reach hit %d configs: %w", maxConfigs, ErrCapped)
 							}
-							next.add(id, ch.words[i*s.stride:(i+1)*s.stride])
+							next.add(id, rec)
 						}
 					}
 				}

@@ -22,7 +22,7 @@ import (
 // record in per-goroutine scratch (model.PackedStepper), so the
 // per-transition cost is a memoised step and a fingerprint rendered from
 // the child's dictionary ids' key templates, with no per-child slice
-// allocations; only a child that wins the visited set is unpacked.
+// allocations; a child that wins the visited set is kept as its record.
 
 // chunksPerWorker over-partitions each level so a slow chunk does not
 // leave the rest of the pool idle.
@@ -43,7 +43,6 @@ var minChunkSize = 64
 // is the connecting move in its model.PackMove encoding — the form the
 // node forest retains.
 type childSlot struct {
-	cfg    model.Config
 	via    uint32
 	parent int32
 	mask   uint64
@@ -51,16 +50,14 @@ type childSlot struct {
 }
 
 // chunk is one contiguous slice [lo,hi) of the level being expanded, plus
-// the expansion output. Slot and arena buffers persist across levels to
+// the expansion output. Slot and record buffers persist across levels to
 // keep the steady state allocation-free. words holds the packed record of
-// slots[i] at [i*stride, (i+1)*stride) and slab owns the slot
-// configurations until the coordinator has merged them.
+// slots[i] at [i*stride, (i+1)*stride).
 type chunk struct {
 	lo, hi   int
 	slots    []childSlot
 	words    []uint64
 	rec      []uint64 // a masked child's record and mask, the rawSeen key
-	slab     model.ConfigSlab
 	dupSteps int
 	err      error
 	// Per-chunk instrumentation deltas, folded into per-level metrics by
@@ -78,11 +75,11 @@ type chunk struct {
 // move buffers, and key-rendering scratch — over a PackedCodec that any
 // number of Expanders may share. A child is fingerprinted straight from its
 // dictionary ids: the codec keeps one key template per interned state and
-// value, so the key is the templates with their rounds renumbered, and
-// only a child the caller keeps is ever unpacked. Records are PackedCodec
-// records; the slices the methods return alias the scratch and stay valid
-// only until the next call of the same method. Not safe for concurrent
-// use.
+// value, so the key is the templates with their rounds renumbered, and a
+// child is unpacked only when a caller asks for its configuration. Records
+// are PackedCodec records; the slices the methods return alias the scratch
+// and stay valid only until the next call of the same method. Not safe for
+// concurrent use.
 type Expander struct {
 	codec   *model.PackedCodec
 	stepper *model.PackedStepper
@@ -260,10 +257,9 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // every bit of that mask.
 func (s *search) expandRange(ch *chunk, x *Expander) {
 	// The previous level's slots were merged before this chunk was
-	// redispatched, so retiring the slab here cannot orphan a live clone.
+	// redispatched, so reusing its buffers here cannot lose a child.
 	ch.slots = ch.slots[:0]
 	ch.words = ch.words[:0]
-	ch.slab.Reset()
 	ch.dupSteps = 0
 	ch.err = nil
 	ch.rawHits = 0
@@ -323,13 +319,8 @@ func (s *search) expandRange(ch *chunk, x *Expander) {
 				ch.err = err
 				return
 			}
-			cfg, err := x.Unpack(child)
-			if err != nil {
-				ch.err = err
-				return
-			}
 			ch.words = append(ch.words, key...)
-			ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(cfg), via: via, parent: ent.id, mask: childMask, fresh: fresh})
+			ch.slots = append(ch.slots, childSlot{via: via, parent: ent.id, mask: childMask, fresh: fresh})
 		}
 	}
 }

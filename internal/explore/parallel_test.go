@@ -274,29 +274,52 @@ func TestReachEnabledScopeKeepsAllocBound(t *testing.T) {
 // visited configuration, which the allocation-count gates cannot see: an
 // append-grown node forest or frontier, or a raw-duplicate pre-filter
 // sized to the whole search, allocates several times what the search
-// keeps in a handful of allocations. The run is DiskRace n=5 capped at
-// 262,144 configurations, at one worker and at two.
+// keeps in a handful of allocations; nor can they see a configuration
+// unpacked and copied per kept child. The run is DiskRace n=5 capped at
+// 262,144 configurations, at one worker and at two, and at one worker with
+// a visit callback that reads Config.Decided for every process, the
+// valency oracle's hot-path shape.
 func TestReachBytesPerConfig(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocations; the bound is a production one")
 	}
-	const maxBytesPerConfig = 250
+	const maxBytesPerConfig = 175
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1", "1", "1"})
-	for _, workers := range []int{1, 2} {
-		opts := Options{Canon: disk, MaxConfigs: 262_144, Workers: workers}
+	decidedSeen := 0
+	decided := func(v Visit) bool {
+		for pid := 0; pid < v.Config.NumProcesses(); pid++ {
+			if _, ok := v.Config.Decided(pid); ok {
+				decidedSeen++
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		visit   func(Visit) bool
+	}{
+		{"workers=1", 1, nil},
+		{"workers=2", 2, nil},
+		{"workers=1 decided-visit", 1, decided},
+	} {
+		opts := Options{Canon: disk, MaxConfigs: 262_144, Workers: tc.workers}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := Reach(context.Background(), c, []int{0, 1, 2, 3, 4}, opts, nil)
+		res, err := Reach(context.Background(), c, []int{0, 1, 2, 3, 4}, opts, tc.visit)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrCapped) {
-			t.Fatalf("workers=%d: err = %v, want the cap to bind", workers, err)
+			t.Fatalf("%s: err = %v, want the cap to bind", tc.name, err)
 		}
 		perConfig := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Count)
-		t.Logf("workers=%d: %.1f bytes/config over %d configs", workers, perConfig, res.Count)
+		t.Logf("%s: %.1f bytes/config over %d configs", tc.name, perConfig, res.Count)
 		if perConfig > maxBytesPerConfig {
-			t.Errorf("workers=%d: %.1f bytes allocated per configuration, bound %d", workers, perConfig, maxBytesPerConfig)
+			t.Errorf("%s: %.1f bytes allocated per configuration, bound %d", tc.name, perConfig, maxBytesPerConfig)
 		}
+	}
+	if decidedSeen == 0 {
+		t.Error("the Decided callback saw no decided process")
 	}
 }

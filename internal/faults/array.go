@@ -20,9 +20,6 @@ func NewArray[T any](inner *register.Array[T], ctrl *Controller) *Array[T] {
 	return &Array[T]{inner: inner, ctrl: ctrl}
 }
 
-// Inner returns the wrapped array (for Stats audits).
-func (a *Array[T]) Inner() *register.Array[T] { return a.inner }
-
 // Controller returns the gate controller (for harness Exit/Abort calls).
 func (a *Array[T]) Controller() *Controller { return a.ctrl }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // Controller enforces a Plan on live goroutines via per-process gates. Every
@@ -37,7 +35,6 @@ type Controller struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	rng  *rand.Rand
-	obs  *obs.Scope
 
 	n        int
 	burstMax int
@@ -91,22 +88,6 @@ func NewController(n int, plan Plan) (*Controller, error) {
 	return c, nil
 }
 
-// SetObs attaches an observability scope: every fault the controller fires
-// on a live goroutine becomes a trace event, timestamped with the global
-// operation count. Call before the run starts; nil stays the no-op default.
-func (c *Controller) SetObs(s *obs.Scope) {
-	c.mu.Lock()
-	c.obs = s
-	c.mu.Unlock()
-}
-
-// GlobalOps returns the number of gated operations completed so far.
-func (c *Controller) GlobalOps() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.globalOps
-}
-
 // Abort releases every gate with ErrAborted — the watchdog path for runs
 // that stop making progress (e.g. a plan that crashes every process).
 func (c *Controller) Abort() {
@@ -152,7 +133,6 @@ func (c *Controller) Acquire(pid int, isWrite bool) error {
 		for ps.cursor < len(ps.events) && ps.events[ps.cursor].Step <= ps.ops {
 			ev := ps.events[ps.cursor]
 			ps.cursor++
-			injectEvent(c.obs, ev, c.globalOps)
 			switch ev.Kind {
 			case CrashStop:
 				ps.crashed = true
@@ -265,7 +245,6 @@ func (c *Controller) processRevives() {
 		if ps.crashed && !ps.exited {
 			ps.crashed = false
 			ps.crashNext = false
-			injectEvent(c.obs, ev, c.globalOps)
 		}
 	}
 }

@@ -379,18 +379,6 @@ func (pc *PackedCodec) InternValue(v Value) (uint32, error) {
 	return pc.vals.internString(string(v), v)
 }
 
-// SetState overwrites the state field of pid in words with index id (from
-// InternState). words must be a Words()-long record.
-func (pc *PackedCodec) SetState(words []uint64, pid int, id uint32) {
-	setField(words, pc.stateOff(pid), pc.stateBits, uint64(id))
-}
-
-// SetValue overwrites the value field of register r in words with index id
-// (from InternValue).
-func (pc *PackedCodec) SetValue(words []uint64, r int, id uint32) {
-	setField(words, pc.regOff(r), pc.regBits, uint64(id))
-}
-
 // PackTo packs c into dst, which must be a Words()-long record; dst is
 // overwritten entirely. Errors only when a dictionary outgrows its field
 // width (ErrPackedCapacity) or c's shape disagrees with the layout.

@@ -84,35 +84,14 @@ func BlockWrite(r []int) Schedule {
 }
 
 // Run applies the schedule to configuration c and returns the resulting
-// configuration. It must only be used on coin-free steps; RunCoins handles
-// protocols with coin flips. Decided processes scheduled again simply take
-// no step, matching the convention in Config.Step.
+// configuration. It must only be used on coin-free steps. Decided processes
+// scheduled again simply take no step, matching the convention in
+// Config.Step.
 func Run(c Config, s Schedule) Config {
 	for _, pid := range s {
 		c = c.StepDet(pid)
 	}
 	return c
-}
-
-// RunCoins applies the schedule to c, consuming one outcome from coins each
-// time a scheduled process is poised on a coin flip. It returns the final
-// configuration and the number of coin outcomes consumed. If the schedule
-// needs more outcomes than provided, remaining flips default to "0".
-func RunCoins(c Config, s Schedule, coins []Value) (Config, int) {
-	used := 0
-	for _, pid := range s {
-		if c.State(pid).Pending().Kind == OpCoin {
-			out := Value("0")
-			if used < len(coins) {
-				out = coins[used]
-			}
-			used++
-			c = c.Step(pid, out)
-			continue
-		}
-		c = c.StepDet(pid)
-	}
-	return c, used
 }
 
 // TraceStep records one applied step for reporting: which process moved,

@@ -1,16 +1,8 @@
 package model
 
-import "fmt"
-
-// The allocation-lean stepping machinery behind the exploration hot path.
-//
-// Config.Step allocates a fresh states slice (and, for writes, a regs
-// slice) per transition — the right contract for callers that keep the
-// result, but the search examines several children per configuration and
-// immediately discards the duplicates. StepInto writes the successor into
-// caller-owned scratch instead; the few children that survive
-// deduplication are detached into a ConfigSlab arena. Together they take
-// the engine's per-transition slice allocations to zero.
+// Cheap inspection and copying of configurations. The exploration hot path never steps a Config: it steps
+// packed records through a PackedStepper and unpacks a configuration only
+// for a caller that reads it.
 
 // OpPeeker is an optional extension of State: PeekOp returns the pending
 // operation's kind and register without building the full Op. Pending's
@@ -33,57 +25,8 @@ func PeekOp(s State) (OpKind, int) {
 	return op.Kind, op.Reg
 }
 
-// StepScratch holds the reusable successor buffers for StepInto. The zero
-// value is ready; one scratch serves one goroutine.
-type StepScratch struct {
-	states []State
-	regs   []Value
-}
-
-// StepInto is Config.Step with the successor's slices carved from sc
-// instead of freshly allocated. The returned Config aliases sc and is
-// invalidated by the next StepInto on the same scratch: callers keep a
-// survivor with ConfigSlab.Clone (or rebuild it) before stepping again. c
-// itself must not alias sc (step from stable storage, not from a previous
-// StepInto result on the same scratch).
-func (c Config) StepInto(sc *StepScratch, pid int, coin Value) Config {
-	st := c.states[pid]
-	op := st.Pending()
-	if op.Kind == OpDecide {
-		return c
-	}
-	if cap(sc.states) < len(c.states) {
-		sc.states = make([]State, len(c.states))
-	}
-	states := sc.states[:len(c.states)]
-	copy(states, c.states)
-	regs := c.regs
-	switch op.Kind {
-	case OpRead:
-		states[pid] = st.Next(c.regs[op.Reg])
-	case OpCoin:
-		states[pid] = st.Next(coin)
-	case OpWrite, OpSwap:
-		if op.Kind == OpSwap {
-			states[pid] = st.Next(c.regs[op.Reg])
-		} else {
-			states[pid] = st.Next(Bottom)
-		}
-		if cap(sc.regs) < len(c.regs) {
-			sc.regs = make([]Value, len(c.regs))
-		}
-		scratchRegs := sc.regs[:len(c.regs)]
-		copy(scratchRegs, c.regs)
-		scratchRegs[op.Reg] = op.Arg
-		regs = scratchRegs
-	default:
-		panic(fmt.Sprintf("model: process %d poised on invalid op %v", pid, op))
-	}
-	return Config{states: states, regs: regs}
-}
-
 // Clone returns a deep copy of c with freshly allocated slices. Exploration
-// hands out configurations backed by reused arenas that are only valid
+// hands out configurations backed by reused buffers that are only valid
 // transiently (explore.Visit); callers that retain one past that window
 // clone it first.
 func (c Config) Clone() Config {
@@ -92,37 +35,4 @@ func (c Config) Clone() Config {
 	regs := make([]Value, len(c.regs))
 	copy(regs, c.regs)
 	return Config{states: states, regs: regs}
-}
-
-// ConfigSlab is an append-only arena for detached Config copies: Clone
-// copies a (possibly scratch-backed) configuration's slices into the
-// slab's backing arrays and returns a Config aliasing them. Clones stay
-// valid across slab growth (they keep their windows into the old backing
-// array) and die together at Reset. The zero value is ready; one slab
-// serves one goroutine.
-type ConfigSlab struct {
-	states []State
-	regs   []Value
-}
-
-// Clone detaches c into the slab.
-func (a *ConfigSlab) Clone(c Config) Config {
-	ns := len(a.states)
-	a.states = append(a.states, c.states...)
-	nr := len(a.regs)
-	a.regs = append(a.regs, c.regs...)
-	return Config{
-		states: a.states[ns:len(a.states):len(a.states)],
-		regs:   a.regs[nr:len(a.regs):len(a.regs)],
-	}
-}
-
-// Reset retires every clone at once, keeping the backing arrays for
-// reuse. References are cleared so retired states can be collected; the
-// caller asserts no clone from before the Reset is still live.
-func (a *ConfigSlab) Reset() {
-	clear(a.states)
-	a.states = a.states[:0]
-	clear(a.regs)
-	a.regs = a.regs[:0]
 }

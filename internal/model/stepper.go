@@ -176,9 +176,3 @@ func (ps *PackedStepper) Stats() (hits, misses uint64) {
 func (pc *PackedCodec) StateID(words []uint64, pid int) uint32 {
 	return uint32(getField(words, pc.stateOff(pid), pc.stateBits))
 }
-
-// ValueID extracts the dictionary id of register r's value field from a
-// packed record.
-func (pc *PackedCodec) ValueID(words []uint64, r int) uint32 {
-	return uint32(getField(words, pc.regOff(r), pc.regBits))
-}

@@ -143,53 +143,3 @@ func TestStepPackedMatchesStep(t *testing.T) {
 		})
 	}
 }
-
-// TestStepIntoMatchesStep holds the scratch-backed step to the allocating
-// reference on the full mix space.
-func TestStepIntoMatchesStep(t *testing.T) {
-	var sc StepScratch
-	walkMix(t, mixConfig(), func(c Config) {
-		for pid := 0; pid < c.NumProcesses(); pid++ {
-			kind, _ := PeekOp(c.State(pid))
-			if kind == OpDecide {
-				continue
-			}
-			outcomes := []Value{Bottom}
-			if kind == OpCoin {
-				outcomes = []Value{"0", "1"}
-			}
-			for _, coin := range outcomes {
-				got := c.StepInto(&sc, pid, coin)
-				if want := c.Step(pid, coin); got.Key() != want.Key() {
-					t.Fatalf("p%d coin=%q: StepInto key %q, Step key %q",
-						pid, string(coin), got.Key(), want.Key())
-				}
-			}
-		}
-	})
-}
-
-// TestConfigSlabCloneSurvivesScratchReuse: a slab clone must stay intact
-// when the scratch it was cloned from is overwritten by later steps and
-// when the slab grows.
-func TestConfigSlabCloneSurvivesScratchReuse(t *testing.T) {
-	var sc StepScratch
-	var slab ConfigSlab
-	c := mixConfig()
-	first := c.StepInto(&sc, 0, "1")
-	kept := slab.Clone(first)
-	wantKey := first.Key()
-	// Overwrite the scratch and grow the slab past its initial capacity.
-	for i := 0; i < 100; i++ {
-		next := c.StepInto(&sc, 1, "0")
-		slab.Clone(next)
-	}
-	if kept.Key() != wantKey {
-		t.Fatalf("slab clone corrupted: key %q, want %q", kept.Key(), wantKey)
-	}
-	slab.Reset()
-	again := slab.Clone(c.StepInto(&sc, 0, "1"))
-	if again.Key() != wantKey {
-		t.Fatalf("post-Reset clone key %q, want %q", again.Key(), wantKey)
-	}
-}

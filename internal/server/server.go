@@ -57,9 +57,6 @@ type Options struct {
 	// max, plus up to 25% seeded jitter (defaults 500ms / 30s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// JitterSeed seeds the backoff jitter (default 1; fixed so test runs
-	// are reproducible).
-	JitterSeed int64
 	// DefaultTimeout is the per-attempt budget for specs that set none
 	// (default 0 = unbounded).
 	DefaultTimeout time.Duration
@@ -96,9 +93,6 @@ func (o *Options) fill() error {
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 30 * time.Second
-	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
 	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 2 * time.Second
@@ -164,7 +158,7 @@ func New(opts Options) (*Server, error) {
 		baseCtx:   ctx,
 		cancelAll: cancel,
 		jobs:      make(map[string]*job),
-		rng:       rand.New(rand.NewSource(opts.JitterSeed)),
+		rng:       rand.New(rand.NewSource(1)), // fixed: reproducible backoff jitter
 		timers:    make(map[string]*time.Timer),
 	}
 	s.batcher = ledger.NewBatcher(led, ledger.BatcherOptions{
@@ -225,16 +219,22 @@ func (s *Server) recover() error {
 			}
 			j.status = Status{ID: name, Spec: spec, State: StateQueued}
 		}
-		if n := idNum(name); n >= s.nextID {
-			s.nextID = n + 1
-		}
 		if j.status.TraceID == "" {
 			// Jobs persisted before trace correlation existed (or with a
 			// torn status rebuilt from spec) get an ID now, so their future
 			// spans are filterable like everyone else's.
 			j.status.TraceID = newTraceID()
 		}
+		// An earlier job's re-ledger may have started a flush whose commit
+		// callback reads the job table under s.mu. The lock is not held
+		// across batcher.Add: a size-triggered flush runs that callback
+		// synchronously.
+		s.mu.Lock()
+		if n := idNum(name); n >= s.nextID {
+			s.nextID = n + 1
+		}
 		s.jobs[name] = j
+		s.mu.Unlock()
 		switch j.status.State {
 		case StateFailed:
 			// Terminal stays terminal across restarts.
@@ -432,9 +432,6 @@ func (s *Server) Proof(id string) (*ledger.Proof, error) {
 
 // LedgerHead returns the chain head (seq 0 = empty ledger).
 func (s *Server) LedgerHead() (uint64, ledger.Hash) { return s.ledger.Head() }
-
-// FlushLedger forces the batcher out of its wait window (tests and drains).
-func (s *Server) FlushLedger() error { return s.batcher.Flush() }
 
 // Drain stops admission, cancels running attempts (their engines persist a
 // final checkpoint on the way out and the jobs return to queued on disk),
