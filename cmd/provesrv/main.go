@@ -7,7 +7,7 @@
 //
 //	provesrv -addr :8080 -data-dir ./provesrv-data
 //	         [-jobs 2] [-queue 8] [-max-attempts 5] [-retry-base 500ms] [-retry-max 30s]
-//	         [-default-timeout 0] [-checkpoint-every 2s] [-batch-size 16] [-batch-wait 500ms]
+//	         [-default-timeout 0] [-checkpoint-every 2s]
 //	         [-debug-addr host:port] [-trace-out trace.jsonl]
 //	         [-coordinator -dist-protocol diskrace -dist-n 3 -dist-slices 3
 //	          -dist-max-depth 0 -dist-lease 2s -dist-dir dir]
@@ -23,7 +23,9 @@
 //
 // Everything the server must not lose lives under -data-dir: one directory
 // per job (spec, status, checkpoints, witness artifact, trace) plus the
-// append-only witness ledger. Kill the process however you like — SIGKILL
+// append-only witness ledger. The ledger group-commits: a finished witness
+// is committed on the next fsync, together with every witness that finished
+// during the previous fsync. Kill the process however you like — SIGKILL
 // included — and the next start's recovery sweep re-enqueues interrupted
 // jobs, resumes them from their checkpoints, and re-ledgers any finished
 // witness the ledger missed. SIGTERM/SIGINT instead drain gracefully: stop
@@ -82,8 +84,6 @@ func run() error {
 	retryMax := flag.Duration("retry-max", 30*time.Second, "retry backoff cap")
 	defaultTimeout := flag.Duration("default-timeout", 0, "per-attempt budget for specs that set none (0 = unbounded)")
 	ckptEvery := flag.Duration("checkpoint-every", 2*time.Second, "minimum interval between job snapshots")
-	batchSize := flag.Int("batch-size", 16, "witnesses per ledger Merkle batch")
-	batchWait := flag.Duration("batch-wait", 500*time.Millisecond, "max time a witness waits for a full batch")
 	debugAddr := flag.String("debug-addr", "", "observability endpoint (/debug/pprof, /metrics, /timeseries, /progress, /healthz, /readyz; empty = off)")
 	traceOut := flag.String("trace-out", "", "server-level JSONL trace (empty = off, - = stderr); job spans are teed in, tagged by trace ID")
 	recordEvery := flag.Duration("record-every", 0, "flight-recorder sampling interval for /timeseries (0 = 1s default, negative = off)")
@@ -130,8 +130,6 @@ func run() error {
 		RetryMax:        *retryMax,
 		DefaultTimeout:  *defaultTimeout,
 		CheckpointEvery: *ckptEvery,
-		BatchSize:       *batchSize,
-		BatchWait:       *batchWait,
 		Scope:           scope,
 	})
 	if err != nil {

@@ -47,7 +47,6 @@ func startServer(t *testing.T, bin, dataDir string) (*exec.Cmd, string, *bytes.B
 		"-data-dir", dataDir,
 		"-jobs", "2",
 		"-checkpoint-every", "50ms",
-		"-batch-wait", "50ms",
 	)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

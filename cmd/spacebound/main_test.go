@@ -192,9 +192,8 @@ func TestServerSubmitMode(t *testing.T) {
 	work := t.TempDir()
 	bin := buildBinary(t, work)
 	srv, err := server.New(server.Options{
-		DataDir:   filepath.Join(work, "data"),
-		Workers:   1,
-		BatchWait: 20 * time.Millisecond,
+		DataDir: filepath.Join(work, "data"),
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

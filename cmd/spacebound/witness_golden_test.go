@@ -189,8 +189,6 @@ func servedWitness(t *testing.T, protocol string, n int) []byte {
 	s, err := server.New(server.Options{
 		DataDir:         t.TempDir(),
 		Workers:         1,
-		BatchSize:       1,
-		BatchWait:       10 * time.Millisecond,
 		CheckpointEvery: 10 * time.Millisecond,
 		Scope:           obs.NewScope(nil),
 	})

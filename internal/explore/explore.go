@@ -177,8 +177,8 @@ var forestPageBits = 16
 // forest is a search's node forest, indexed by node id, in pages of
 // 1<<shift nodes. A full page is never copied, so a large search allocates
 // each node about once instead of the about five times an append-grown
-// slice would. Page 0 alone grows by append, so the many tiny searches
-// allocate only for the nodes they keep.
+// slice would. Page 0 alone grows, by reserve's doubling, so the many tiny
+// searches allocate only about what they keep.
 type forest struct {
 	pages [][]node
 	n     int
@@ -201,7 +201,7 @@ func (f *forest) add(nd node) {
 		f.pages = append(f.pages, page)
 		last++
 	}
-	f.pages[last] = append(f.pages[last], nd)
+	f.pages[last] = append(reserve(f.pages[last], 1, 1<<f.shift), nd)
 	f.n++
 }
 

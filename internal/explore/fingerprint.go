@@ -364,7 +364,7 @@ var rawCacheMax = 4096
 
 // rawCache is Reach's raw-duplicate pre-filter: a bounded, lossy set of
 // mixWords digests of packed records, striped like FPSet. Each stripe is a
-// direct-mapped table that starts at rawCacheStart slots and doubles,
+// direct-mapped table that starts at rawCacheStart slots and quadruples,
 // whenever more than half its slots are filled, up to rawCacheMax; from
 // then on an insert that lands on an occupied slot overwrites it,
 // forgetting the older record. A hit still needs the full 128-bit digest,
@@ -428,11 +428,13 @@ func (sh *rawStripe) seen(fp Fingerprint) bool {
 	return false
 }
 
-// grow doubles the stripe's table. Entries from distinct old slots land in
-// distinct new ones, so growing forgets nothing.
+// grow quadruples the stripe's table, up to rawCacheMax, like a small
+// fpShard: on its way to rawCacheMax a stripe then allocates about 1.7
+// times its final table rather than twice. Entries from distinct old slots
+// land in distinct new ones, so growing forgets nothing.
 func (sh *rawStripe) grow() {
 	old := sh.tbl
-	sh.tbl = make([]Fingerprint, 2*len(old))
+	sh.tbl = make([]Fingerprint, min(4*len(old), rawCacheMax))
 	mask := uint64(len(sh.tbl) - 1)
 	for _, fp := range old {
 		if fp != (Fingerprint{}) {

@@ -21,8 +21,8 @@ type frontierPage struct {
 
 // frontier holds one BFS level in visit order. Pages are kept when the
 // level is cleared, so a level reuses the pages of the one two levels
-// back, and a full page is never copied. Page 0 alone grows by append,
-// so the many tiny searches allocate only for the entries they hold;
+// back, and a full page is never copied. Page 0 alone grows, by reserve's
+// doubling, so the many tiny searches allocate only about what they hold;
 // later pages are allocated whole.
 type frontier struct {
 	// stride is the packed record width in words.
@@ -47,9 +47,23 @@ func (f *frontier) add(id int32, rec []uint64) {
 		f.used++
 	}
 	p := &f.pages[f.used-1]
-	p.ids = append(p.ids, id)
-	p.words = append(p.words, rec...)
+	p.ids = append(reserve(p.ids, 1, arenaBatch), id)
+	p.words = append(reserve(p.words, f.stride, arenaBatch*f.stride), rec...)
 	f.n++
+}
+
+// reserve returns s with room for n more elements, doubling its capacity
+// (from at least 8) when short, but never past limit, a full page. Page 0
+// of the forest and the frontier grows this way: filling it allocates
+// about twice a page, where append's 1.25× growth above 256 elements
+// allocates about five times.
+func reserve[T any](s []T, n, limit int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	grown := make([]T, len(s), min(max(2*cap(s), len(s)+n, 8), limit))
+	copy(grown, s)
+	return grown
 }
 
 // len returns the number of entries in the level.

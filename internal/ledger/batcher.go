@@ -3,11 +3,13 @@ package ledger
 import (
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/retry"
 )
 
 // LatencyBoundsMicros are the fixed buckets of the batcher's queue/flush
@@ -15,27 +17,34 @@ import (
 // up to multi-second stalls on a struggling disk.
 var LatencyBoundsMicros = []int64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000, 1000000, 2500000, 5000000}
 
-// Batcher amortises ledger appends: items queue in memory and flush as one
-// Merkle batch when BatchSize accumulate or MaxWait elapses since the
-// oldest queued item — the throughput/latency trade every write-behind
-// log makes. A failed flush keeps its items queued and retries on the next
-// trigger; the obs layer carries per-item queue latency, per-flush commit
-// latency, and a flush-error counter so a degrading disk is visible long
-// before Close reports it.
+// A failed flush is retried after retry.Delay with these bounds.
+const (
+	flushRetryBase = 25 * time.Millisecond
+	flushRetryMax  = 2 * time.Second
+)
+
+// Batcher group-commits ledger appends. One flusher goroutine commits
+// everything pending as one Merkle batch as soon as the ledger is idle;
+// items added during that batch's fsync share the next one. A lone item
+// is committed at once, and under load the batch grows with the arrival
+// rate, so no timer or size trigger is needed. A failed flush keeps its
+// items queued and retries after a backoff. The obs layer carries per-item
+// queue latency, per-flush commit latency and a flush-error counter, so a
+// degrading disk is visible long before Close reports it.
 type Batcher struct {
 	ledger   *Ledger
-	size     int
-	maxWait  time.Duration
 	scope    *obs.Scope
 	faults   *faults.OpInjector
 	onCommit func(*Batch)
 
+	wake     chan struct{} // 1-buffered: something was added since the flusher last looked
+	stop     chan struct{} // closed by Close
+	done     chan struct{} // closed when the flusher exits
+	closeErr error         // the final flush attempt's error, read after done
+
 	mu      sync.Mutex
 	pending []queued
-	timer   *time.Timer
 	closed  bool
-	lastErr error
-	wg      sync.WaitGroup
 
 	metrics batcherMetrics
 }
@@ -74,15 +83,10 @@ type queued struct {
 
 // BatcherOptions configures a Batcher.
 type BatcherOptions struct {
-	// BatchSize triggers a flush when this many items are queued
-	// (default 16).
-	BatchSize int
-	// MaxWait triggers a flush this long after the first queued item even
-	// if the batch is short (default 500ms) — a lone job's witness must
-	// not wait for company forever.
-	MaxWait time.Duration
 	// OnCommit, when non-nil, observes every successfully committed batch
-	// (the server uses it to stamp jobs with their ledger position).
+	// (the server uses it to stamp jobs with their ledger position). It
+	// runs on the flusher goroutine, off the batcher lock and in seq
+	// order; the next batch is not flushed until it returns.
 	OnCommit func(*Batch)
 	// Scope receives the batcher's metrics and events.
 	Scope *obs.Scope
@@ -91,134 +95,148 @@ type BatcherOptions struct {
 	Faults *faults.OpInjector
 }
 
-// NewBatcher starts a batcher over l.
+// NewBatcher starts a batcher and its flusher goroutine over l. Close
+// stops it.
 func NewBatcher(l *Ledger, opts BatcherOptions) *Batcher {
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 16
-	}
-	if opts.MaxWait <= 0 {
-		opts.MaxWait = 500 * time.Millisecond
-	}
-	return &Batcher{
+	b := &Batcher{
 		ledger:   l,
-		size:     opts.BatchSize,
-		maxWait:  opts.MaxWait,
 		scope:    opts.Scope,
 		faults:   opts.Faults,
 		onCommit: opts.OnCommit,
+		wake:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 		metrics:  newBatcherMetrics(opts.Scope),
 	}
+	go b.run()
+	return b
 }
 
-// Add enqueues one item. It never blocks on the disk: the commit happens
-// on the flush path. Items added after Close are rejected.
+// Add enqueues one item and wakes the flusher. It never flushes and never
+// blocks on the disk. Items added after Close are rejected.
 func (b *Batcher) Add(item Item) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return fmt.Errorf("ledger: batcher closed")
 	}
 	b.pending = append(b.pending, queued{item: item, enq: time.Now()})
 	b.metrics.queueDepth.Set(int64(len(b.pending)))
-	if len(b.pending) >= b.size {
-		b.flushLocked()
-		return nil
-	}
-	if b.timer == nil {
-		b.timer = time.AfterFunc(b.maxWait, b.flushTimer)
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 	return nil
 }
 
-// flushTimer is the MaxWait trigger.
-func (b *Batcher) flushTimer() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.timer = nil
-	if len(b.pending) > 0 && !b.closed {
-		b.flushLocked()
+// run is the flusher. Woken by Add, it commits batches until nothing is
+// pending, backing off between failed attempts; woken by Close, it makes
+// one final attempt and exits.
+func (b *Batcher) run() {
+	defer close(b.done)
+	rng := rand.New(rand.NewSource(1)) // fixed: reproducible backoff jitter
+	for {
+		select {
+		case <-b.wake:
+		case <-b.stop:
+			b.closeErr = b.drain()
+			return
+		}
+		for failures := 0; ; {
+			more, err := b.flush()
+			if err == nil {
+				if !more {
+					break
+				}
+				failures = 0
+				continue
+			}
+			failures++
+			t := time.NewTimer(retry.Delay(failures, flushRetryBase, flushRetryMax, rng, 0))
+			select {
+			case <-t.C:
+			case <-b.stop:
+				t.Stop()
+				b.closeErr = b.drain()
+				return
+			}
+		}
 	}
 }
 
-// Flush commits everything currently queued, returning the flush error if
-// the commit failed (items stay queued for retry).
-func (b *Batcher) Flush() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.pending) > 0 {
-		b.flushLocked()
+// drain is Close's final attempt: it commits what is pending and returns
+// the first flush error.
+func (b *Batcher) drain() error {
+	for {
+		more, err := b.flush()
+		if err != nil || !more {
+			return err
+		}
 	}
-	return b.lastErr
 }
 
-// flushLocked commits the pending queue as one batch. Caller holds b.mu.
-func (b *Batcher) flushLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+// flush commits up to maxBatchItems pending items as one batch (the cap
+// keeps every batch decodable) and reports whether items remain pending.
+// On failure the items stay queued at the head of the queue.
+func (b *Batcher) flush() (more bool, err error) {
+	b.mu.Lock()
+	taken := b.pending[:min(len(b.pending), maxBatchItems)]
+	b.mu.Unlock()
+	if len(taken) == 0 {
+		return false, nil
 	}
-	items := make([]Item, len(b.pending))
-	for i, q := range b.pending {
+	// Add only appends, so taken stays valid without the lock: the
+	// flusher is the only goroutine that removes items.
+	items := make([]Item, len(taken))
+	for i, q := range taken {
 		items[i] = q.item
 	}
 	start := time.Now()
 	var batch *Batch
-	err := b.faults.Hit("ledger.flush")
+	err = b.faults.Hit("ledger.flush")
 	if err == nil {
 		batch, err = b.ledger.Append(items)
 	}
 	if err != nil {
-		// Keep the items queued; the next Add/timer/Flush retries. Re-arm
-		// the timer so a quiet queue still retries.
-		b.lastErr = err
 		b.metrics.flushErrors.Add(1)
 		b.scope.Event("ledger_flush_error",
 			slog.Int("items", len(items)),
 			slog.String("err", err.Error()))
-		if b.timer == nil && !b.closed {
-			b.timer = time.AfterFunc(b.maxWait, b.flushTimer)
-		}
-		return
+		return true, err
 	}
 	now := time.Now()
-	for _, q := range b.pending {
+	for _, q := range taken {
 		b.metrics.queueLat.Observe(now.Sub(q.enq).Microseconds())
 	}
 	b.metrics.flushLat.Observe(now.Sub(start).Microseconds())
 	b.metrics.batches.Add(1)
 	b.metrics.items.Add(int64(len(items)))
-	b.metrics.queueDepth.Set(0)
-	b.lastErr = nil
-	b.pending = b.pending[:0]
+	b.mu.Lock()
+	b.pending = append(b.pending[:0], b.pending[len(taken):]...)
+	more = len(b.pending) > 0
+	b.metrics.queueDepth.Set(int64(len(b.pending)))
+	b.mu.Unlock()
 	b.scope.Event("ledger_batch_committed",
 		slog.Uint64("seq", batch.Seq),
 		slog.Int("items", len(batch.Items)),
 		slog.String("root", batch.Root.String()))
 	if b.onCommit != nil {
-		// The callback runs off the batcher lock (it updates job records,
-		// which may in turn query the ledger).
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.onCommit(batch)
-		}()
+		b.onCommit(batch)
 	}
+	return more, nil
 }
 
-// Close flushes the queue (retrying is the caller's concern at this point:
-// the final flush error is returned) and rejects further Adds.
+// Close rejects further Adds, makes one final attempt to commit what is
+// pending, waits for the flusher to exit and returns that attempt's error
+// (retrying is the caller's concern at this point).
 func (b *Batcher) Close() error {
 	b.mu.Lock()
-	if len(b.pending) > 0 {
-		b.flushLocked()
-	}
-	err := b.lastErr
-	b.closed = true
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+	if !b.closed {
+		b.closed = true
+		close(b.stop)
 	}
 	b.mu.Unlock()
-	b.wg.Wait()
-	return err
+	<-b.done
+	return b.closeErr
 }

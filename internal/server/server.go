@@ -40,7 +40,8 @@ var (
 )
 
 // Options configures a Server. The zero value of every field selects a
-// sensible default.
+// sensible default. The ledger batcher has no knobs: it group-commits, so
+// a finished witness waits only for the fsync in flight and its own.
 type Options struct {
 	// DataDir is the root of all persistent state: jobs/<id>/ per job and
 	// ledger/ledger.seg for the witness ledger. Required.
@@ -63,10 +64,6 @@ type Options struct {
 	// CheckpointEvery is the minimum interval between job snapshots
 	// (default 2s).
 	CheckpointEvery time.Duration
-	// BatchSize / BatchWait configure the ledger batcher (defaults 16 /
-	// 500ms).
-	BatchSize int
-	BatchWait time.Duration
 	// Scope receives the server's metrics, events and readiness probe.
 	Scope *obs.Scope
 	// Faults, when non-nil, injects failures at named operations
@@ -162,11 +159,9 @@ func New(opts Options) (*Server, error) {
 		timers:    make(map[string]*time.Timer),
 	}
 	s.batcher = ledger.NewBatcher(led, ledger.BatcherOptions{
-		BatchSize: opts.BatchSize,
-		MaxWait:   opts.BatchWait,
-		Scope:     opts.Scope,
-		Faults:    opts.Faults,
-		OnCommit:  s.onLedgerCommit,
+		Scope:    opts.Scope,
+		Faults:   opts.Faults,
+		OnCommit: s.onLedgerCommit,
 	})
 	s.scope.SetReadyCheck(func() error {
 		s.mu.Lock()
@@ -178,6 +173,7 @@ func New(opts Options) (*Server, error) {
 	})
 	if err := s.recover(); err != nil {
 		cancel()
+		s.batcher.Close()
 		led.Close()
 		return nil, err
 	}
@@ -225,10 +221,8 @@ func (s *Server) recover() error {
 			// spans are filterable like everyone else's.
 			j.status.TraceID = newTraceID()
 		}
-		// An earlier job's re-ledger may have started a flush whose commit
-		// callback reads the job table under s.mu. The lock is not held
-		// across batcher.Add: a size-triggered flush runs that callback
-		// synchronously.
+		// The batcher's flusher may already be committing an earlier job's
+		// re-ledger, and its commit callback reads the job table under s.mu.
 		s.mu.Lock()
 		if n := idNum(name); n >= s.nextID {
 			s.nextID = n + 1
@@ -730,7 +724,8 @@ func ferrString(err error) string {
 }
 
 // onLedgerCommit stamps each job in a freshly committed batch with its
-// ledger position (batcher callback, runs off the batcher lock).
+// ledger position (batcher callback, runs on the batcher's flusher
+// goroutine, off the batcher lock).
 func (s *Server) onLedgerCommit(b *ledger.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -36,7 +36,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// fastOptions is a baseline for quick tests: tight batching, tight retry.
+// fastOptions is a baseline for quick tests: tight retry and checkpoints.
 func fastOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
@@ -44,8 +44,6 @@ func fastOptions(t *testing.T) Options {
 		Workers:         1,
 		RetryBase:       5 * time.Millisecond,
 		RetryMax:        50 * time.Millisecond,
-		BatchSize:       1,
-		BatchWait:       10 * time.Millisecond,
 		CheckpointEvery: 50 * time.Millisecond,
 		Scope:           obs.NewScope(nil),
 	}
