@@ -57,10 +57,11 @@
 // as JSONL ("-" for stderr).
 //
 // -checkpoint-dir enables crash-safe snapshots of the construction (valency
-// memo, proof stage, in-flight BFS frontier) every -checkpoint-every;
-// -resume restarts from the newest intact snapshot in that directory, and
-// with Workers:1 the resumed run's witness is byte-identical to an
-// uninterrupted one. -witness-out writes the rendered witness atomically
+// memo and proof stage), taken between valency queries at most once per
+// -checkpoint-every; -resume restarts from the newest intact snapshot in
+// that directory, replays the memo and runs the interrupted query again
+// from its start, and with Workers:1 the resumed run's witness is
+// byte-identical to an uninterrupted one. -witness-out writes the rendered witness atomically
 // alongside a .sha256 sidecar.
 //
 // Every completed witness is re-verified by an independent replay
@@ -233,8 +234,8 @@ func run() error {
 		return fmt.Errorf("checkpoint dir %s: %w", *ckptDir, err)
 	}
 	if snap != nil {
-		fmt.Fprintf(os.Stderr, "spacebound: resuming from snapshot %d, stage %q (%d memoised verdicts, in-flight query depth %d)\n",
-			snap.Meta.Seq, snap.Meta.Stage, snap.MemoVerdicts(), snap.QueryDepth())
+		fmt.Fprintf(os.Stderr, "spacebound: resuming from snapshot %d, stage %q (%d memoised verdicts)\n",
+			snap.Meta.Seq, snap.Meta.Stage, snap.MemoVerdicts())
 	}
 	w, err := engine.Theorem1(ctx, m, *n)
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -42,11 +44,13 @@ func runBinary(t *testing.T, bin string, args ...string) (stdout, stderr string)
 	return outBuf.String(), errBuf.String()
 }
 
-// TestKillResumeByteIdenticalWitness is the tentpole acceptance test: a
-// checkpointed n=4 run SIGKILLed as soon as it has persisted a snapshot,
-// then resumed with -resume, must produce a witness artifact byte-identical
-// to an uninterrupted run's — and both must pass the independent replay
-// verifier and sha256 sidecar check.
+// TestKillResumeByteIdenticalWitness: a checkpointed n=4 run SIGKILLed as
+// soon as it has persisted a snapshot past the first, then resumed with
+// -resume, must produce a witness artifact byte-identical to an
+// uninterrupted run's — and both must pass the independent replay verifier
+// and sha256 sidecar check. Snapshot 1 is written before the first search
+// and holds an empty memo, so waiting for a later one makes the resumed
+// run replay memoised verdicts.
 func TestKillResumeByteIdenticalWitness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the real binary")
@@ -64,7 +68,7 @@ func TestKillResumeByteIdenticalWitness(t *testing.T) {
 		t.Fatalf("clean run did not self-verify:\n%s", cleanErr)
 	}
 
-	// Crash run: SIGKILL the process the moment a snapshot file exists.
+	// Crash run: SIGKILL the process the moment snapshot 2 or later exists.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	crash := exec.CommandContext(ctx, bin,
@@ -75,7 +79,7 @@ func TestKillResumeByteIdenticalWitness(t *testing.T) {
 	}
 	killed := false
 	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); {
-		if snaps, _ := filepath.Glob(filepath.Join(ckptDir, "snap-*.ckpt")); len(snaps) > 0 {
+		if newestSnapshotSeq(t, ckptDir) >= 2 {
 			if err := crash.Process.Signal(syscall.SIGKILL); err == nil {
 				killed = true
 			}
@@ -99,8 +103,12 @@ func TestKillResumeByteIdenticalWitness(t *testing.T) {
 	_, resumeErr := runBinary(t, bin,
 		"-protocol", "diskrace", "-n", "4", "-workers", "1",
 		"-checkpoint-dir", ckptDir, "-resume", "-witness-out", resumedOut)
-	if !strings.Contains(resumeErr, "resuming from snapshot") {
+	var seq, verdicts int
+	var stage string
+	if i := strings.Index(resumeErr, "resuming from snapshot"); i < 0 {
 		t.Fatalf("resume run did not load the snapshot:\n%s", resumeErr)
+	} else if _, err := fmt.Sscanf(resumeErr[i:], "resuming from snapshot %d, stage %q (%d memoised verdicts)", &seq, &stage, &verdicts); err != nil || verdicts == 0 {
+		t.Fatalf("resume line reports no memoised verdicts (%v):\n%s", err, resumeErr)
 	}
 	if !strings.Contains(resumeErr, "witness verified by independent replay") {
 		t.Fatalf("resumed run did not self-verify:\n%s", resumeErr)
@@ -124,6 +132,22 @@ func TestKillResumeByteIdenticalWitness(t *testing.T) {
 			t.Fatalf("artifact %s: %v", p, err)
 		}
 	}
+}
+
+// newestSnapshotSeq returns the highest seq among dir's snapshot files, 0
+// when there are none.
+func newestSnapshotSeq(t *testing.T, dir string) int {
+	t.Helper()
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
+	newest := 0
+	for _, p := range snaps {
+		seq, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "snap-"), ".ckpt"))
+		if err != nil {
+			t.Fatalf("snapshot file name %s: %v", p, err)
+		}
+		newest = max(newest, seq)
+	}
+	return newest
 }
 
 // TestUnstartableNIsOneLineError: a process count the protocol cannot

@@ -181,9 +181,9 @@ func inProcessDistWitness(t *testing.T, n, slices, depth int) []byte {
 
 // servedWitness submits one job to an in-process provesrv, waits for it to
 // be done and ledgered, and returns the witness GET /jobs/{id}/witness
-// serves over an httptest server. The job snapshots every 10 ms,
-// so it writes in-flight valency queries mid-construction and the served
-// witness also covers the snapshot path.
+// serves over an httptest server. The job's interval is 10 ms, so it
+// snapshots at query boundaries during the job and the served witness
+// also covers the snapshot path.
 func servedWitness(t *testing.T, protocol string, n int) []byte {
 	t.Helper()
 	s, err := server.New(server.Options{

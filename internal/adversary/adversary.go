@@ -85,7 +85,8 @@ func New(oracle *valency.Oracle) *Engine {
 func (e *Engine) Oracle() *valency.Oracle { return e.oracle }
 
 // SetCheckpointer attaches a coordinator to both the engine (stage tags)
-// and its oracle (memo source plus in-flight query snapshots). nil detaches.
+// and its oracle (memo source plus a save opportunity after every query).
+// nil detaches.
 func (e *Engine) SetCheckpointer(c *checkpoint.Coordinator) {
 	e.ckpt = c
 	e.oracle.SetCheckpointer(c)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,5 +166,90 @@ func TestCoordinatorSavesAreLoadable(t *testing.T) {
 	}
 	if st := replay.Oracle().Stats(); st.Configs != 0 {
 		t.Fatalf("replay over imported memo explored %d configs, want 0", st.Configs)
+	}
+}
+
+// pollCancelCtx counts its Err polls and cancels itself at poll k, so a
+// Workers:1 run stops at the same point of its computation every time.
+// With k 0 it only counts.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  atomic.Int64
+	k      int64
+}
+
+func newPollCancelCtx(k int64) *pollCancelCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCancelCtx{Context: ctx, cancel: cancel, k: k}
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestTheorem1MidQueryCrashResume cuts a Workers:1 DiskRace n=4
+// construction at several points of its run, some of them inside a
+// valency query's search. Snapshots are taken only between queries, so
+// the resumed run replays the memo and runs the interrupted query again
+// from its start; its witness must equal an uninterrupted run's.
+func TestTheorem1MidQueryCrashResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five DiskRace n=4 constructions")
+	}
+	opts := explore.Options{Workers: 1, Canon: consensus.DiskRace{}}
+	meta := checkpoint.Meta{Protocol: "diskrace", N: 4, MaxConfigs: opts.MaxConfigs}
+
+	counter := newPollCancelCtx(0)
+	defer counter.cancel()
+	ref, err := New(valency.New(opts)).Theorem1(counter, consensus.DiskRace{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := counter.polls.Load()
+
+	inQuery := 0
+	for _, k := range []int64{total / 5, total / 2, total * 4 / 5} {
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := newPollCancelCtx(k)
+		coord := checkpoint.NewCoordinator(store, 0, meta, nil)
+		crashed := New(valency.New(opts))
+		crashed.SetCheckpointer(coord)
+		_, err = crashed.Theorem1(ctx, consensus.DiskRace{}, 4)
+		ctx.cancel()
+		var p *Partial
+		if !errors.As(err, &p) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll %d of %d: cut run returned %v, want a cancelled *Partial", k, total, err)
+		}
+		if msg := err.Error(); strings.Contains(msg, "valency query") && strings.Contains(msg, "reach cancelled after") {
+			inQuery++
+		}
+		t.Logf("poll %d of %d: %v", k, total, err)
+
+		snap, err := store.Latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := ResumeEngine(opts, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed.SetCheckpointer(checkpoint.NewCoordinator(store, time.Hour, snap.Meta, nil))
+		got, err := resumed.Theorem1(context.Background(), consensus.DiskRace{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(viewOf(got), viewOf(ref)) {
+			t.Fatalf("poll %d of %d: resumed witness diverges from uninterrupted run:\n got %+v\nwant %+v", k, total, viewOf(got), viewOf(ref))
+		}
+	}
+	if inQuery == 0 {
+		t.Fatalf("no cut of %d polls landed inside a valency query's search", total)
 	}
 }

@@ -59,8 +59,7 @@ func Open(opts explore.Options, protocol string, n int, dir string, every time.D
 			scope.Event("checkpoint_resume",
 				slog.Uint64("seq", snap.Meta.Seq),
 				slog.String("stage", snap.Meta.Stage),
-				slog.Int("memo_verdicts", snap.MemoVerdicts()),
-				slog.Int("query_depth", snap.QueryDepth()))
+				slog.Int("memo_verdicts", snap.MemoVerdicts()))
 			return engine, coord, snap, nil
 		case errors.Is(err, checkpoint.ErrStaleSnapshot):
 			miss = fmt.Errorf("%w: %w", checkpoint.ErrNoCheckpoint, err)
@@ -78,8 +77,7 @@ func Open(opts explore.Options, protocol string, n int, dir string, every time.D
 }
 
 // ResumeEngine builds an engine whose oracle starts from a loaded
-// snapshot: the memo is imported wholesale and the in-flight query (if the
-// crash interrupted one) is armed for re-entry. The caller must pass the
+// snapshot's memo, imported wholesale. The caller must pass the
 // same exploration options the snapshotted run used — Open checks that
 // through Meta.Check — and should attach a fresh Coordinator (seeded with
 // snap.Meta) via SetCheckpointer to keep saving.
@@ -88,7 +86,8 @@ func Open(opts explore.Options, protocol string, n int, dir string, every time.D
 // from the top, but every query answered before the crash hits the
 // restored memo and returns the path the original search found, so with
 // Workers:1 the construction replays byte-identically to where it died and
-// only then starts exploring again.
+// only then starts exploring again, with the query the crash interrupted
+// run again from its start.
 func ResumeEngine(opts explore.Options, snap *checkpoint.Snapshot) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("adversary: resume from nil snapshot")
@@ -97,9 +96,5 @@ func ResumeEngine(opts explore.Options, snap *checkpoint.Snapshot) (*Engine, err
 	if err != nil {
 		return nil, fmt.Errorf("adversary: resume: %w", err)
 	}
-	o := valency.NewWithMemo(opts, memo)
-	if snap.Query != nil {
-		o.SetResume(snap.Query)
-	}
-	return New(o), nil
+	return New(valency.NewWithMemo(opts, memo)), nil
 }

@@ -1,8 +1,9 @@
 // Package checkpoint makes long-running proofs survive process death: it
-// persists the exploration state of the adversary engine — valency memo,
-// in-flight BFS frontier and fingerprint set, and the current proof stage —
-// to crash-safe snapshot files, and loads the newest intact snapshot back
-// on resume.
+// persists what the adversary engine has learned — the valency memo and
+// the current proof stage — to crash-safe snapshot files between valency
+// queries, and loads the newest intact snapshot back on resume. A resumed
+// run replays the memo and runs the query the crash interrupted again from
+// its start.
 //
 // The durability contract is deliberately simple:
 //
@@ -19,11 +20,10 @@
 //
 // The package is deliberately dependency-light (standard library,
 // internal/model for moves, internal/obs for counters and internal/faults
-// for the File its writes go through): internal/explore and
-// internal/valency import it, not the other way round. The schema types
-// are the engine's own records — explore fills and reads QueryData
-// directly, valency's memo paths are model.Move slices — so nothing is
-// copied field by field on the way to or from disk.
+// for the File its writes go through): internal/valency imports it, not
+// the other way round. The memo's paths are model.Move slices, the
+// engine's own type, so nothing is copied field by field on the way to or
+// from disk.
 //
 // A snapshot resumes only the run it was written by: Meta.Check is the one
 // compatibility rule, and adversary.Open is the one place that applies it.

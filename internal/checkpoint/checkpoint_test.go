@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,19 +37,6 @@ func sampleSnapshot(seq uint64) *Snapshot {
 				{FP: [2]uint64{7, 8}, Pid: 0, Err: "solo run cycles"},
 			},
 		},
-		Query: &QueryData{
-			FP: [2]uint64{9, 10}, Pids: 0b101, MaxConfigs: 4096,
-			Depth: 3, Count: 4, Steps: 17, PeakFrontier: 3,
-			Nodes: []Node{
-				{Parent: 0, Depth: 0},
-				{Parent: 0, Depth: 1, Move: model.Move{Pid: 0}},
-				{Parent: 0, Depth: 1, Move: model.Move{Pid: 2, Coin: "T"}},
-				{Parent: 1, Depth: 2, Move: model.Move{Pid: 2}},
-			},
-			Frontier:     []int{2, 3},
-			Fingerprints: [][2]uint64{{11, 12}, {13, 14}},
-			Found:        []Found{{Value: "0", ID: 3}},
-		},
 	}
 }
 
@@ -58,7 +46,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := [][]byte{[]byte("alpha"), {}, []byte("gamma")}
+	// The last record is longer than eagerRecordLen, so it is read into a
+	// buffer that grows as its bytes arrive.
+	records := [][]byte{[]byte("alpha"), {}, []byte("gamma"), bytes.Repeat([]byte("delta"), eagerRecordLen/2)}
 	for _, rec := range records {
 		if err := sw.Append(rec); err != nil {
 			t.Fatal(err)
@@ -76,7 +66,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	for i := range records {
 		if !bytes.Equal(got[i], records[i]) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], records[i])
+			t.Fatalf("record %d differs (%d bytes, want %d)", i, len(got[i]), len(records[i]))
 		}
 	}
 }
@@ -128,6 +118,29 @@ func TestReadSegmentCorruption(t *testing.T) {
 	}
 }
 
+// hugeRecordSegment is 16 bytes: the magic, a length prefix declaring a
+// 1 GiB record, and three payload bytes.
+var hugeRecordSegment = append([]byte(segmentMagic), 0x80, 0x80, 0x80, 0x80, 0x04, 'a', 'b', 'c')
+
+// TestReadSegmentHostileLengthAllocates: a record length prefix far beyond
+// the bytes that follow it is corrupt, and reading it must not allocate
+// the declared length first.
+func TestReadSegmentHostileLengthAllocates(t *testing.T) {
+	if len(hugeRecordSegment) != 16 {
+		t.Fatalf("input is %d bytes, want 16", len(hugeRecordSegment))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSegment(bytes.NewReader(hugeRecordSegment))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadSegment = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a 16-byte segment allocated %d bytes", grew)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot(7)
 	got, err := DecodeSnapshot(want.encodeRecords())
@@ -137,18 +150,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	// Memo-only and meta-only snapshots roundtrip too.
-	for _, s := range []*Snapshot{
-		{Meta: want.Meta, Memo: want.Memo},
-		{Meta: want.Meta},
-	} {
-		got, err := DecodeSnapshot(s.encodeRecords())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, s) {
-			t.Fatalf("roundtrip mismatch: %+v vs %+v", got, s)
-		}
+	// A meta-only snapshot roundtrips too.
+	metaOnly := &Snapshot{Meta: want.Meta}
+	got, err = DecodeSnapshot(metaOnly.encodeRecords())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, metaOnly) {
+		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, metaOnly)
 	}
 }
 
@@ -156,10 +165,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // in the current snapshot format. Any schema or encoding change that
 // alters a byte breaks resume of snapshots already on disk, so this pin
 // must only move together with a deliberate format migration.
-const sampleSnapshotSHA256 = "7624ec312c6ab3e2f7223d36fb871576cfb20dbc6a41f53c94b56e65f8f78cfb"
+const sampleSnapshotSHA256 = "a1537b5c9d915fcdf6e5d6f735be669a4dfa4d9ae4538259350252f13bf379ae"
 
-// TestSnapshotBytesPinned holds the on-disk snapshot format fixed: meta,
-// memo and in-flight query sections encode to the pinned bytes.
+// inFlightSnapshot is sampleSnapshot(7) as the format that also saved an
+// in-flight BFS query wrote it: the same meta and memo records, then a
+// section tagged 3.
+const inFlightSnapshot = "testdata/inflight-query.ckpt"
+
+// TestSnapshotBytesPinned holds the on-disk snapshot format fixed: meta
+// and memo sections encode to the pinned bytes.
 func TestSnapshotBytesPinned(t *testing.T) {
 	var buf bytes.Buffer
 	sw, err := NewWriter(&buf)
@@ -200,13 +214,12 @@ func TestMetaCheck(t *testing.T) {
 func TestDecodeSnapshotRejects(t *testing.T) {
 	meta := encodeMeta(&Meta{Protocol: "p"})
 	cases := map[string][][]byte{
-		"no records":          {},
-		"empty record":        {meta, {}},
-		"unknown tag":         {meta, {99, 1, 2}},
-		"duplicate meta":      {meta, meta},
-		"no meta":             {{secMemo, 0, 0}},
-		"trailing bytes":      {append(bytes.Clone(meta), 0xFF)},
-		"frontier id too big": {meta, func() []byte { q := encodeQuery(&QueryData{Frontier: []int{5}}); return q }()},
+		"no records":     {},
+		"empty record":   {meta, {}},
+		"unknown tag":    {meta, {99, 1, 2}},
+		"duplicate meta": {meta, meta},
+		"no meta":        {{secMemo, 0, 0}},
+		"trailing bytes": {append(bytes.Clone(meta), 0xFF)},
 		// A meta truncated before FPVersion is the pre-hash-v2 format;
 		// resuming it under the new fingerprint function must be refused
 		// at decode time.
@@ -216,6 +229,51 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 		if _, err := DecodeSnapshot(records); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v is not ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestDecodeSnapshotRefusesInFlightQuery: a snapshot that still carries
+// an in-flight query section is refused as ErrCorrupt naming the section,
+// not resumed as if its query were not there.
+func TestDecodeSnapshotRefusesInFlightQuery(t *testing.T) {
+	records, err := ReadSegmentFile(inFlightSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeSnapshot(records)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "in-flight query section") {
+		t.Fatalf("DecodeSnapshot = %v, want ErrCorrupt naming the in-flight query section", err)
+	}
+	// Its meta and memo records are the current format's bytes.
+	if want := sampleSnapshot(7).encodeRecords(); !reflect.DeepEqual(records[:len(want)], want) {
+		t.Fatal("meta and memo records differ from the current encoding")
+	}
+}
+
+// TestStoreLatestSkipsInFlightQuery: Latest passes over a newer snapshot
+// holding an in-flight query and resumes the older memo-only one.
+func TestStoreLatestSkipsInFlightQuery(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(sampleSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(inFlightSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapFiles.Path(dir, 7), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Meta.Seq != 1 {
+		t.Fatalf("Latest resumed seq %d, want the memo-only seq 1", snap.Meta.Seq)
 	}
 }
 
@@ -343,13 +401,13 @@ func TestCoordinatorInterval(t *testing.T) {
 	}
 	now = now.Add(30 * time.Second)
 	c.Tick()
-	c.TickQuery(func() *QueryData { t.Fatal("query builder invoked inside the interval"); return nil })
+	c.Tick()
 	if w, _ := c.Stats(); w != 1 {
 		t.Fatalf("ticks inside interval saved: %d writes", w)
 	}
 	now = now.Add(31 * time.Second)
 	c.SetStage("lemma 2")
-	c.TickQuery(func() *QueryData { return &QueryData{Depth: 2} })
+	c.Tick()
 	if w, _ := c.Stats(); w != 2 {
 		t.Fatalf("tick past interval: %d writes, want 2", w)
 	}
@@ -365,9 +423,6 @@ func TestCoordinatorInterval(t *testing.T) {
 	}
 	if snap.Meta.Seq != 3 || snap.Meta.Stage != "lemma 2" {
 		t.Fatalf("latest snapshot %+v, want seq 3 stage lemma 2", snap.Meta)
-	}
-	if snap.Query != nil {
-		t.Fatal("Flush snapshot carries a stale in-flight query")
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Coordinator decides when to persist and assembles each snapshot from its
-// sources: the valency oracle registers a memo exporter, the adversary
-// engine tags the current proof stage, and the exploration engine offers
-// in-flight query state at BFS level boundaries.
+// sources: the valency oracle registers a memo exporter and the adversary
+// engine tags the current proof stage. Saves happen only at Tick, which
+// runs between valency queries and at stage changes, never inside a
+// search, so a snapshot is the memo plus the stage.
 //
 // All methods are driven from the single goroutine that runs the
 // construction (the oracle and engine are single-threaded between
@@ -86,29 +87,16 @@ func (c *Coordinator) SetMemoSource(fn func() *MemoData) {
 }
 
 // Tick offers a save opportunity between oracle queries: if the configured
-// interval has elapsed since the last save, a snapshot (memo + stage, no
-// in-flight query) is persisted. Safe on nil.
+// interval has elapsed since the last save, a snapshot (memo + stage) is
+// persisted. Safe on nil.
 func (c *Coordinator) Tick() {
-	c.tick(nil)
-}
-
-// TickQuery offers a save opportunity at a BFS level boundary inside an
-// exhaustive query. The query builder is only invoked if the interval has
-// elapsed — materialising in-flight state is expensive, deciding not to is
-// one clock read. A nil return from the builder saves memo-only. Safe on
-// nil.
-func (c *Coordinator) TickQuery(query func() *QueryData) {
-	c.tick(query)
-}
-
-func (c *Coordinator) tick(query func() *QueryData) {
 	if c == nil {
 		return
 	}
 	if !c.last.IsZero() && c.now().Sub(c.last) < c.every {
 		return
 	}
-	c.save(query)
+	c.save()
 }
 
 // Flush persists a snapshot immediately, regardless of the interval, and
@@ -117,23 +105,20 @@ func (c *Coordinator) Flush() error {
 	if c == nil {
 		return nil
 	}
-	c.save(nil)
+	c.save()
 	return c.lastErr
 }
 
 // save persists one snapshot. Persistence failures do not stop the proof:
 // the error is counted, kept for Err, and the next tick retries — an
 // hours-long construction should survive a transiently full disk.
-func (c *Coordinator) save(query func() *QueryData) {
+func (c *Coordinator) save() {
 	c.last = c.now()
 	snap := &Snapshot{Meta: c.meta}
 	snap.Meta.Seq++
 	snap.Meta.WrittenUnixNano = c.now().UnixNano()
 	if c.memoSource != nil {
 		snap.Memo = c.memoSource()
-	}
-	if query != nil {
-		snap.Query = query()
 	}
 	saveStart := time.Now()
 	n, err := c.store.Save(snap)
@@ -166,7 +151,6 @@ func (c *Coordinator) save(query func() *QueryData) {
 		slog.Uint64("seq", snap.Meta.Seq),
 		slog.String("stage", snap.Meta.Stage),
 		slog.Int64("bytes", n),
-		slog.Bool("in_flight_query", snap.Query != nil),
 	)
 	if c.AfterSave != nil {
 		c.AfterSave(snap)

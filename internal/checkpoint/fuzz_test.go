@@ -71,7 +71,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{secMeta})
-	f.Add([]byte{secQuery, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{secRetiredQuery, 0xFF, 0xFF, 0xFF})
+	// The in-flight query record the older format wrote.
+	old, err := ReadSegmentFile(inFlightSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old[len(old)-1])
 	meta := encodeMeta(&Meta{Protocol: "p", N: 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,6 +18,12 @@ const segmentMagic = "SBCKPT\x01\n"
 // multi-exabyte allocation; real snapshots stay far below it.
 const maxRecordLen = 1 << 32
 
+// eagerRecordLen is the largest payload allocated in full before its bytes
+// are read. A longer declared length may be a corrupt or hostile prefix on
+// a short stream (a peer-uploaded dist chunk, say), so its buffer grows
+// only as bytes arrive.
+const eagerRecordLen = 1 << 20
+
 // Writer appends checksummed records to a segment stream:
 //
 //	[uvarint payload length][payload][sha256(payload), 32 bytes]
@@ -127,8 +133,8 @@ func readRecords(r io.Reader) (records [][]byte, validOff int64, err error) {
 		if length > maxRecordLen {
 			return records, validOff, corruptf("record %d length %d exceeds limit", len(records), length)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(sr, payload); err != nil {
+		payload, err := readPayload(sr, int(length))
+		if err != nil {
 			return records, validOff, corruptf("record %d payload (%v)", len(records), err)
 		}
 		var sum [sha256.Size]byte
@@ -141,6 +147,22 @@ func readRecords(r io.Reader) (records [][]byte, validOff int64, err error) {
 		records = append(records, payload)
 		validOff = sr.off
 	}
+}
+
+// readPayload reads a record payload of n bytes. Up to eagerRecordLen it
+// allocates exactly n up front; beyond that the buffer grows with the
+// bytes actually read, so memory tracks the stream, not the length prefix.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= eagerRecordLen {
+		payload := make([]byte, n)
+		_, err := io.ReadFull(r, payload)
+		return payload, err
+	}
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(payload) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
 }
 
 // ReadSegment reads a whole segment stream, validating the magic and every

@@ -8,16 +8,18 @@ import (
 	"repro/internal/model"
 )
 
-// The snapshot schema. Paths and moves are model.Move values and the
-// in-flight search is one QueryData record that internal/explore fills and
-// reads directly; only fingerprints stay plain [2]uint64 pairs, since
-// internal/explore (which names them) imports this package.
+// The snapshot schema. Paths and moves are model.Move values; fingerprints
+// stay plain [2]uint64 pairs, since this package sits below
+// internal/explore, which names them.
 
 // Section tags: the first byte of every record in a snapshot segment.
+// Tag 3 held an in-flight BFS query in an earlier format; snapshots are
+// taken only between queries, and a file holding one is refused, not
+// misread.
 const (
-	secMeta  = 1
-	secMemo  = 2
-	secQuery = 3
+	secMeta         = 1
+	secMemo         = 2
+	secRetiredQuery = 3
 )
 
 // Decoding bounds: a corrupt count decodes to at most these before being
@@ -110,55 +112,11 @@ type MemoData struct {
 	Solo     []SoloRec
 }
 
-// Node is one retained exploration node: parent id, BFS depth and the
-// connecting move.
-type Node struct {
-	Parent int
-	Depth  int
-	Move   model.Move
-}
-
-// Found is one consensus value discovered by the in-flight search, with
-// the node id of its witness configuration.
-type Found struct {
-	Value string
-	ID    int
-}
-
-// QueryData freezes one in-flight exhaustive valency query at a BFS level
-// boundary: enough to re-enter the search at that level instead of level 0.
-// explore.Snapshotter.Data fills the search fields and
-// explore.Options.ResumeFrom reads them back; internal/valency adds the
-// query key (FP, Pids, MaxConfigs) and Found.
-type QueryData struct {
-	// FP and Pids key the query exactly as the valency memo does;
-	// MaxConfigs is the effective cap of this particular search (probe
-	// budgets shrink it below Meta.MaxConfigs).
-	FP         [2]uint64
-	Pids       uint64
-	MaxConfigs int
-	// Depth is the BFS depth of the frontier below; Count, Steps and
-	// PeakFrontier are the search counters at the boundary.
-	Depth        int
-	Count        int
-	Steps        int
-	PeakFrontier int
-	// Nodes is the full parent/move forest (witness paths replay from it),
-	// Frontier the node ids awaiting expansion in deterministic order, and
-	// Fingerprints the visited set.
-	Nodes        []Node
-	Frontier     []int
-	Fingerprints [][2]uint64
-	// Found records the values the search has already discovered.
-	Found []Found
-}
-
-// Snapshot is one complete checkpoint: run identity, the valency memo, and
-// optionally the in-flight query.
+// Snapshot is one complete checkpoint, taken between valency queries: run
+// identity and the valency memo.
 type Snapshot struct {
-	Meta  Meta
-	Memo  *MemoData
-	Query *QueryData
+	Meta Meta
+	Memo *MemoData
 }
 
 // MemoVerdicts is the number of memoised verdicts the snapshot carries.
@@ -169,29 +127,18 @@ func (s *Snapshot) MemoVerdicts() int {
 	return len(s.Memo.Verdicts)
 }
 
-// QueryDepth is the BFS depth of the in-flight query, -1 without one.
-func (s *Snapshot) QueryDepth() int {
-	if s.Query == nil {
-		return -1
-	}
-	return s.Query.Depth
-}
-
 // encodeRecords serialises the snapshot into segment records.
 func (s *Snapshot) encodeRecords() [][]byte {
 	records := [][]byte{encodeMeta(&s.Meta)}
 	if s.Memo != nil {
 		records = append(records, encodeMemo(s.Memo))
 	}
-	if s.Query != nil {
-		records = append(records, encodeQuery(s.Query))
-	}
 	return records
 }
 
 // DecodeSnapshot rebuilds a snapshot from segment records. It requires
-// exactly one meta section and rejects duplicates, unknown sections and
-// malformed fields as ErrCorrupt.
+// exactly one meta section and rejects duplicates, unknown sections, the
+// retired in-flight query section and malformed fields as ErrCorrupt.
 func DecodeSnapshot(records [][]byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	seenMeta := false
@@ -219,15 +166,8 @@ func DecodeSnapshot(records [][]byte) (*Snapshot, error) {
 				return nil, err
 			}
 			s.Memo = memo
-		case secQuery:
-			if s.Query != nil {
-				return nil, corruptf("duplicate query section")
-			}
-			q, err := decodeQuery(body)
-			if err != nil {
-				return nil, err
-			}
-			s.Query = q
+		case secRetiredQuery:
+			return nil, corruptf("record %d is an in-flight query section, no longer resumed", i)
 		default:
 			return nil, corruptf("record %d has unknown section tag %d", i, tag)
 		}
@@ -349,91 +289,4 @@ func decodeMemo(body []byte) (*MemoData, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func encodeQuery(q *QueryData) []byte {
-	e := &enc{buf: []byte{secQuery}}
-	e.uint(q.FP[0])
-	e.uint(q.FP[1])
-	e.uint(q.Pids)
-	e.int(q.MaxConfigs)
-	e.int(q.Depth)
-	e.int(q.Count)
-	e.int(q.Steps)
-	e.int(q.PeakFrontier)
-	e.int(len(q.Nodes))
-	for _, n := range q.Nodes {
-		e.int(n.Parent)
-		e.int(n.Depth)
-		encodeMove(e, n.Move)
-	}
-	e.int(len(q.Frontier))
-	for _, id := range q.Frontier {
-		e.int(id)
-	}
-	e.int(len(q.Fingerprints))
-	for _, fp := range q.Fingerprints {
-		e.uint(fp[0])
-		e.uint(fp[1])
-	}
-	e.int(len(q.Found))
-	for _, f := range q.Found {
-		e.str(f.Value)
-		e.int(f.ID)
-	}
-	return e.buf
-}
-
-func decodeQuery(body []byte) (*QueryData, error) {
-	d := &dec{data: body}
-	q := &QueryData{
-		FP:           [2]uint64{d.uint("query fp0"), d.uint("query fp1")},
-		Pids:         d.uint("query pids"),
-		MaxConfigs:   d.intn("query max configs", maxCount),
-		Depth:        d.intn("query depth", maxCount),
-		Count:        d.intn("query count", maxCount),
-		Steps:        d.intn("query steps", 1<<62),
-		PeakFrontier: d.intn("query peak frontier", maxCount),
-	}
-	nn := d.intn("query node count", maxCount)
-	for i := 0; i < nn && d.err == nil; i++ {
-		q.Nodes = append(q.Nodes, Node{
-			Parent: d.intn("node parent", maxCount),
-			Depth:  d.intn("node depth", maxCount),
-			Move:   decodeMove(d),
-		})
-	}
-	nf := d.intn("query frontier count", maxCount)
-	for i := 0; i < nf && d.err == nil; i++ {
-		q.Frontier = append(q.Frontier, d.intn("frontier id", maxCount))
-	}
-	nfp := d.intn("query fingerprint count", maxCount)
-	for i := 0; i < nfp && d.err == nil; i++ {
-		q.Fingerprints = append(q.Fingerprints, [2]uint64{d.uint("fp0"), d.uint("fp1")})
-	}
-	nfound := d.intn("query found count", maxValueList)
-	for i := 0; i < nfound && d.err == nil; i++ {
-		q.Found = append(q.Found, Found{Value: d.str("found value", maxStrLen), ID: d.intn("found id", maxCount)})
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	// Internal consistency: frontier ids and found ids must reference
-	// nodes, and node parents must precede their children.
-	for i, n := range q.Nodes {
-		if n.Parent >= len(q.Nodes) || (i > 0 && n.Parent >= i) {
-			return nil, corruptf("node %d has out-of-order parent %d", i, n.Parent)
-		}
-	}
-	for _, id := range q.Frontier {
-		if id >= len(q.Nodes) {
-			return nil, corruptf("frontier id %d beyond %d nodes", id, len(q.Nodes))
-		}
-	}
-	for _, f := range q.Found {
-		if f.ID >= len(q.Nodes) {
-			return nil, corruptf("found id %d beyond %d nodes", f.ID, len(q.Nodes))
-		}
-	}
-	return q, nil
 }

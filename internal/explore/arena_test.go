@@ -74,8 +74,8 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 					// tail; only the count is comparable (checked above).
 					continue
 				}
-				// The visited fingerprint set — what dedup and checkpoints
-				// actually rely on — is deterministic per level even when
+				// The visited fingerprint set — what dedup actually
+				// relies on — is deterministic per level even when
 				// representative election races: compare it sorted.
 				fps := func(keys []string) []Fingerprint {
 					out := make([]Fingerprint, len(keys))
@@ -170,7 +170,7 @@ func TestFNVReferenceFingerprintDistinctness(t *testing.T) {
 
 // TestFPSetOpenAddressing covers the open-addressed visited set directly:
 // duplicate rejection, the out-of-band zero fingerprint, growth across the
-// 128-slot floor, Len accounting, and dump completeness — for both the
+// 128-slot floor, Len accounting, and Dump completeness — for both the
 // striped and the lock-free single-goroutine variants.
 func TestFPSetOpenAddressing(t *testing.T) {
 	for _, tc := range []struct {
@@ -208,18 +208,18 @@ func TestFPSetOpenAddressing(t *testing.T) {
 			if s.Len() != n+1 {
 				t.Fatalf("Len = %d, want %d", s.Len(), n+1)
 			}
-			got := s.dump()
+			got := s.Dump()
 			if len(got) != n+1 {
-				t.Fatalf("dump returned %d fingerprints, want %d", len(got), n+1)
+				t.Fatalf("Dump returned %d fingerprints, want %d", len(got), n+1)
 			}
 			for _, fp := range got {
 				if !want[fp] {
-					t.Fatalf("dump invented fingerprint %x", fp)
+					t.Fatalf("Dump invented fingerprint %x", fp)
 				}
 				delete(want, fp)
 			}
 			if len(want) != 0 {
-				t.Fatalf("dump lost %d fingerprints", len(want))
+				t.Fatalf("Dump lost %d fingerprints", len(want))
 			}
 		})
 	}

@@ -45,8 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
-	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -91,19 +91,6 @@ type Options struct {
 	// BFS level, never per configuration (the allocation-regression tests
 	// guard this).
 	Obs *obs.Scope
-	// Snapshot, when non-nil, is invoked from the calling goroutine at
-	// every BFS level boundary, before the frontier at Snapshotter.Depth is
-	// expanded. Hooks that persist checkpoints decide cheaply (one clock
-	// read) whether a save is due and call Snapshotter.Data only then.
-	Snapshot func(*Snapshotter)
-	// ResumeFrom, when non-nil, restores a search frozen by
-	// Snapshotter.Data instead of starting at the root: counters, node
-	// forest and visited set are restored verbatim, the frontier is rebuilt
-	// by path replay, and no previously visited configuration is re-visited.
-	// The options must otherwise match the checkpointed run's — resuming
-	// under a different key function or cap is unsound, and the caller
-	// (internal/valency) enforces that match.
-	ResumeFrom *checkpoint.QueryData
 }
 
 // DefaultMaxConfigs is the visited-configuration cap used when
@@ -221,6 +208,23 @@ func (r *Result) PathTo(id int) (model.Path, bool) {
 	return path, ok
 }
 
+// packedPathTo writes the witness path of node id, as model.PackMove
+// encodings from the root on, over dst. The boolean is false for
+// out-of-range ids.
+func (r *Result) packedPathTo(dst []uint32, id int) ([]uint32, bool) {
+	dst = dst[:0]
+	if id < 0 || id >= r.nodes.len() {
+		return dst, false
+	}
+	for id != 0 {
+		n := r.nodes.at(id)
+		dst = append(dst, n.via)
+		id = int(n.parent)
+	}
+	slices.Reverse(dst)
+	return dst, true
+}
+
 // Moves enumerates the moves available to the processes in p at
 // configuration c: one move per non-decided process, except that a process
 // poised on a coin flip contributes one move per outcome. Decided processes
@@ -292,12 +296,11 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 // may repeat a configuration; Result.Count counts configurations.
 //
 // visit returns the sets still open, and 0 stops the search, marking it
-// Capped. With one set this is Reach: p's moves in the order given, the
-// worker pool and Options.Snapshot. With more, moves come from the
-// union of the sets in pid order, and every parent is expanded on the
-// calling goroutine with its children visited before the next parent is
-// expanded, so a set the callback closes stops spreading at once. Such a
-// search never calls Options.Snapshot and refuses Options.ResumeFrom.
+// Capped. With one set this is Reach: p's moves in the order given and
+// the worker pool. With more, moves come from the union of the sets in
+// pid order, and every parent is expanded on the calling goroutine with
+// its children visited before the next parent is expanded, so a set the
+// callback closes stops spreading at once.
 func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, visit func(Visit) uint64) (*Result, error) {
 	res := &Result{nodes: newForest()}
 	maxConfigs := opts.maxConfigs()
@@ -309,9 +312,6 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 		return res, fmt.Errorf("explore: %d process sets, want 1 to 64", len(sets))
 	}
 	masked := len(sets) > 1
-	if masked && opts.ResumeFrom != nil {
-		return res, fmt.Errorf("explore: cannot resume a search over %d process sets", len(sets))
-	}
 	// allowed[pid] holds the sets containing pid; procs lists the pids
 	// whose moves are expanded.
 	allowed := make([]uint64, c.NumProcesses())
@@ -363,43 +363,33 @@ func ReachSets(ctx context.Context, c model.Config, sets [][]int, opts Options, 
 
 	var level, next frontier
 	level.stride, next.stride = s.stride, s.stride
-	depth := int32(0)
-	if opts.ResumeFrom != nil {
-		if err := s.restore(opts.ResumeFrom, res, &level, c); err != nil {
-			return res, err
-		}
-		depth = int32(opts.ResumeFrom.Depth)
-	} else {
-		rec, err := s.x.Pack(c)
-		if err != nil {
-			return res, fmt.Errorf("reach root: %w", err)
-		}
-		fp, err := s.x.Fingerprint(rec)
-		if err != nil {
-			return res, fmt.Errorf("reach root: %w", err)
-		}
-		all := s.open
-		s.visited.add(fp, all)
-		res.nodes.add(node{parent: 0})
-		res.Count = 1
-		res.PeakFrontier = 1
-		if visit != nil {
-			if s.open = visit(Visit{Config: c, ID: 0, Depth: 0, Mask: all}); s.open == 0 {
-				res.Capped = true
-				return res, fmt.Errorf("reach from %d procs: %w", len(procs), ErrCapped)
-			}
-		}
-		if masked {
-			rec = append(rec, all)
-		}
-		level.add(0, rec)
+	rec, err := s.x.Pack(c)
+	if err != nil {
+		return res, fmt.Errorf("reach root: %w", err)
 	}
+	fp, err := s.x.Fingerprint(rec)
+	if err != nil {
+		return res, fmt.Errorf("reach root: %w", err)
+	}
+	all := s.open
+	s.visited.add(fp, all)
+	res.nodes.add(node{parent: 0})
+	res.Count = 1
+	res.PeakFrontier = 1
+	if visit != nil {
+		if s.open = visit(Visit{Config: c, ID: 0, Depth: 0, Mask: all}); s.open == 0 {
+			res.Capped = true
+			return res, fmt.Errorf("reach from %d procs: %w", len(procs), ErrCapped)
+		}
+	}
+	if masked {
+		rec = append(rec, all)
+	}
+	level.add(0, rec)
 
+	depth := int32(0)
 	var buf batchBuf
 	for level.len() > 0 {
-		if opts.Snapshot != nil && !masked {
-			opts.Snapshot(&Snapshotter{s: s, res: res, level: &level, depth: int(depth)})
-		}
 		if opts.MaxDepth > 0 && int(depth) >= opts.MaxDepth {
 			// The frontier beyond the depth cap is not expanded; the
 			// space was not exhausted.

@@ -189,3 +189,16 @@ func TestFingerprintDistinctness(t *testing.T) {
 		seen[fp] = key
 	}
 }
+
+// TestResultDepthReported checks the new Depth counter against the known
+// longest schedule of the chain machine (budgets sum).
+func TestResultDepthReported(t *testing.T) {
+	c := model.NewConfig(chainMachine{}, []model.Value{"2", "3"})
+	res, err := Reach(context.Background(), c, []int{0, 1}, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Depth != 5 {
+		t.Fatalf("Depth = %d, want 5", res.Depth)
+	}
+}

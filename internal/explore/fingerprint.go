@@ -487,27 +487,16 @@ func (s *FPSet) stats(maxPerShard int, h *obs.Histogram) (n, slots int) {
 // is unordered, so a caller that persists them sorts first or accepts
 // run-to-run byte differences). Call it only while no goroutine is adding.
 func (s *FPSet) Dump() []Fingerprint {
-	return appendFingerprints(make([]Fingerprint, 0, s.Len()), s)
-}
-
-// dump is Dump in the checkpoint package's element type (checkpoint files
-// may therefore differ between runs even when the resumed results do not).
-// Called at level boundaries, when no worker holds a shard.
-func (s *FPSet) dump() [][2]uint64 {
-	return appendFingerprints(make([][2]uint64, 0, s.Len()), s)
-}
-
-// appendFingerprints appends every fingerprint in s to out.
-func appendFingerprints[T ~[2]uint64](out []T, s *FPSet) []T {
+	out := make([]Fingerprint, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		if sh.zero {
-			out = append(out, T{})
+			out = append(out, Fingerprint{})
 		}
 		for _, fp := range sh.tbl {
 			if fp != (Fingerprint{}) {
-				out = append(out, T(fp))
+				out = append(out, fp)
 			}
 		}
 		sh.mu.Unlock()

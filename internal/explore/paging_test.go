@@ -143,48 +143,3 @@ func TestPagedReachSetsDeterministic(t *testing.T) {
 	shrinkPaging(t)
 	TestReachSetsDeterministic(t)
 }
-
-// TestPagedSnapshotResumeEquivalent repeats the snapshot/resume
-// equivalence test with pages of a few entries, so the frozen forest and
-// frontier span several pages, and then freezes a DiskRace search at about
-// six level boundaries spread over its depth: each resumed run must visit
-// what the uninterrupted run visited after the freeze and end with its
-// counters and witness paths.
-func TestPagedSnapshotResumeEquivalent(t *testing.T) {
-	shrinkPaging(t)
-	t.Run("chain", TestReachSnapshotResumeEquivalent)
-
-	disk := consensus.DiskRace{}
-	c := model.NewConfig(disk, []model.Value{"0", "1"})
-	p := []int{0, 1}
-	opts := Options{Canon: disk, Workers: 1}
-	fullRes, fullVisits := collectVisits(t, c, p, opts)
-	fullPaths := pathsOf(t, fullRes)
-	for depth := 1; depth < fullRes.Depth; depth += max(1, fullRes.Depth/6) {
-		snapOpts := opts
-		snapOpts.Snapshot = func(sn *Snapshotter) {
-			if sn.Depth() == depth {
-				opts.ResumeFrom = sn.Data()
-			}
-		}
-		collectVisits(t, c, p, snapOpts)
-		if opts.ResumeFrom == nil {
-			t.Fatalf("depth %d: snapshot hook never ran", depth)
-		}
-		cpCount := opts.ResumeFrom.Count
-		resRes, resVisits := collectVisits(t, c, p, opts)
-		opts.ResumeFrom = nil
-		if !slices.Equal(resVisits, fullVisits[cpCount:]) {
-			t.Fatalf("depth %d: resumed visits diverge", depth)
-		}
-		if resRes.Count != fullRes.Count || resRes.Steps != fullRes.Steps || resRes.Depth != fullRes.Depth {
-			t.Fatalf("depth %d: resumed (count %d steps %d depth %d) != full (count %d steps %d depth %d)", depth,
-				resRes.Count, resRes.Steps, resRes.Depth, fullRes.Count, fullRes.Steps, fullRes.Depth)
-		}
-		for id, path := range pathsOf(t, resRes) {
-			if !slices.Equal(path, fullPaths[id]) {
-				t.Fatalf("depth %d: witness path of id %d diverges", depth, id)
-			}
-		}
-	}
-}

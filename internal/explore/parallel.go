@@ -182,9 +182,7 @@ type search struct {
 	// reproduce a recently produced record verbatim. It is a bounded, lossy
 	// cache over instance-scoped dictionary ids: a record it has forgotten
 	// is fingerprinted and rejected by visited, so only the pre-filter's
-	// hit count depends on what it keeps. It is never persisted in
-	// checkpoints (a resumed search starts it empty) and never mixed with
-	// visited.
+	// hit count depends on what it keeps. It is never mixed with visited.
 	rawSeen *rawCache
 	x       *Expander     // coordinator's own kernel, for inline expansion
 	metrics searchMetrics // flight-recorder instruments, resolved once per Reach

@@ -8,10 +8,10 @@ import (
 )
 
 // Replayer rebuilds packed records from witness paths: the receiving end
-// of every path-addressed frontier — the dist shard worker's entries and a
-// resumed Reach's node ids. It keeps the record after every prefix of the
-// last path it replayed, one per depth, so a path that shares a prefix
-// with its predecessor costs only the moves past that prefix. Frontiers
+// of the dist shard worker's path-addressed frontier entries. It keeps the
+// record after every prefix of the last path it replayed, one per depth,
+// so a path that shares a prefix with its predecessor costs only the
+// moves past that prefix. Frontiers
 // list siblings together, so consecutive paths mostly differ in their last
 // move. Moves step through the Expander's memoised PackedStepper, never
 // model.Apply. Not safe for concurrent use; the Expander it steps through

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/consensus"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -149,21 +148,5 @@ func TestReachSetsRevisitsNewBits(t *testing.T) {
 	}
 	if path, _ := res.PathTo(2); !reflect.DeepEqual(path, model.Path{{Pid: 1}}) {
 		t.Fatalf("node 2 path %v, want p1's step", path)
-	}
-}
-
-// TestReachSetsNoSnapshotOrResume: a search over several sets never
-// offers a snapshot and refuses to resume.
-func TestReachSetsNoSnapshotOrResume(t *testing.T) {
-	c, sets := lemma1Sets()
-	opts := Options{Canon: consensus.DiskRace{}, MaxConfigs: 200, Workers: 1}
-	opts.Snapshot = func(*Snapshotter) { t.Fatal("snapshot offered by a search over several sets") }
-	if _, err := ReachSets(context.Background(), c, sets, opts, nil); !errors.Is(err, ErrCapped) {
-		t.Fatalf("err = %v, want the cap", err)
-	}
-	opts.Snapshot = nil
-	opts.ResumeFrom = &checkpoint.QueryData{Count: 1, Nodes: []checkpoint.Node{{}}}
-	if _, err := ReachSets(context.Background(), c, sets, opts, nil); err == nil || errors.Is(err, ErrCapped) {
-		t.Fatalf("resume of a search over several sets: err = %v, want a refusal", err)
 	}
 }

@@ -30,12 +30,10 @@ import (
 // candidates for which the path that reached it is candidate-only, so a
 // decided value found under bit k is a certificate for candidate k, with a
 // replayable witness path; every witness is replayed before it is kept.
-// With one open candidate the search is a plain packed, parallel
-// Reach; at its BFS level boundaries an attached checkpointer may
-// snapshot it in flight, and a crash-resumed run re-enters it there. A
-// search over several candidates never snapshots: it is budget-bounded and
-// cheap to redo, and a crash-resumed run replays it onto the same memoised
-// verdicts.
+// With one open candidate the search is a plain packed, parallel Reach.
+// An attached checkpointer is offered a save only after the whole query,
+// so a crash-resumed run replays finished queries from the memo and runs
+// the interrupted one again from its start.
 
 // maxBatchCandidates bounds one batch (the mask is a uint64).
 const maxBatchCandidates = 64
@@ -197,6 +195,15 @@ func (o *Oracle) query(ctx context.Context, c model.Config, cands [][]int, budge
 	return outs, nil
 }
 
+// effectiveMax is the cap Reach will actually apply under opts, the
+// starting point of every query's limit.
+func effectiveMax(opts explore.Options) int {
+	if opts.MaxConfigs <= 0 {
+		return explore.DefaultMaxConfigs
+	}
+	return opts.MaxConfigs
+}
+
 // search runs one explore.ReachSets over the open candidates' process
 // sets, capped at limit configurations. It folds the values decided at
 // every node into the verdicts of the node's open candidates, closing each
@@ -213,9 +220,6 @@ func (o *Oracle) search(ctx context.Context, c model.Config, cands [][]int, outs
 	for bit, i := range open {
 		sets[bit] = cands[i]
 		found[bit] = make(map[model.Value]int)
-	}
-	if len(open) == 1 {
-		o.checkpointSearch(&opts, outs[open[0]].key, limit, outs[open[0]].verdict, found[0])
 	}
 	live := ^uint64(0) >> (64 - len(open))
 	numProcs := c.NumProcesses()

@@ -11,16 +11,15 @@ import (
 	"repro/internal/model"
 )
 
-// Memo export/import and in-flight query resume: the bridge between the
-// oracle's memo maps and the checkpoint package's snapshot records.
+// Memo export/import: the bridge between the oracle's memo maps and the
+// checkpoint package's snapshot records.
 //
-// The memo is the payload that makes resume fast-forward deterministic: a
-// resumed Theorem 1 construction re-runs from the top, every query answered
-// before the crash hits the restored memo — returning the exact witness
-// paths the original search found — and the construction replays to where
-// it died without re-exploring anything. The optional in-flight QueryData
-// additionally re-enters the one search the crash interrupted at its last
-// completed BFS level instead of level 0.
+// The memo is the whole resume payload: a resumed Theorem 1 construction
+// re-runs from the top, every query answered before the crash hits the
+// restored memo — returning the exact witness paths the original search
+// found — and the construction replays to where it died without
+// re-exploring anything. The one query the crash interrupted, if any, runs
+// again from its start.
 
 // ExportMemo converts the memo tables to the checkpoint schema. Records
 // are emitted in sorted key order so identical memos serialise identically.
@@ -86,61 +85,9 @@ func ImportMemo(d *checkpoint.MemoData) (*Memo, error) {
 }
 
 // SetCheckpointer attaches a coordinator: the oracle registers its memo as
-// the coordinator's memo source and offers in-flight snapshots at the BFS
-// level boundaries of every search with one open candidate (searches over
-// several never snapshot). A nil coordinator detaches.
+// the coordinator's memo source and offers it a save opportunity after
+// every query. A nil coordinator detaches.
 func (o *Oracle) SetCheckpointer(c *checkpoint.Coordinator) {
 	o.ckpt = c
 	c.SetMemoSource(func() *checkpoint.MemoData { return ExportMemo(o.memo) })
-}
-
-// SetResume hands the oracle the in-flight query state of a loaded
-// snapshot. The first search with one open candidate matching its (fingerprint,
-// process set, effective cap) re-enters the search at the stored BFS level; in a
-// deterministic replay that is exactly the query the crash interrupted,
-// since every earlier query hits the restored memo.
-func (o *Oracle) SetResume(q *checkpoint.QueryData) {
-	o.resume = q
-}
-
-// effectiveMax is the cap Reach will actually apply under opts, the value
-// in-flight snapshots are keyed by.
-func effectiveMax(opts explore.Options) int {
-	if opts.MaxConfigs <= 0 {
-		return explore.DefaultMaxConfigs
-	}
-	return opts.MaxConfigs
-}
-
-// checkpointSearch wires a one-candidate search into the attached
-// checkpointer: every BFS level boundary offers an in-flight snapshot,
-// stamped with the query key, limit and the values found so far, and a
-// pending loaded snapshot with that exact key and limit re-enters the
-// search at its stored level, with the values it had already found
-// pre-seeded into verdict and found.
-func (o *Oracle) checkpointSearch(opts *explore.Options, key queryKey, limit int, verdict *Verdict, found map[model.Value]int) {
-	if o.ckpt != nil {
-		opts.Snapshot = func(sn *explore.Snapshotter) {
-			o.ckpt.TickQuery(func() *checkpoint.QueryData {
-				data := sn.Data()
-				data.FP, data.Pids, data.MaxConfigs = key.fp, key.pids, limit
-				for val, id := range found {
-					data.Found = append(data.Found, checkpoint.Found{Value: string(val), ID: id})
-				}
-				sort.Slice(data.Found, func(i, j int) bool { return data.Found[i].Value < data.Found[j].Value })
-				return data
-			})
-		}
-	}
-	if q := o.resume; q != nil && explore.Fingerprint(q.FP) == key.fp && q.Pids == key.pids && q.MaxConfigs == limit {
-		o.resume = nil
-		opts.ResumeFrom = q
-		for _, f := range q.Found {
-			val := model.Value(f.Value)
-			if !verdict.Decidable[val] {
-				verdict.Decidable[val] = true
-				found[val] = f.ID
-			}
-		}
-	}
 }

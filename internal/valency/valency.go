@@ -117,13 +117,9 @@ type Oracle struct {
 	// pointer is nil and each Add is a single nil-check (per query, never
 	// per configuration).
 	metrics oracleMetrics
-	// ckpt, when set, receives save opportunities between queries and at
-	// the BFS level boundaries of searches with one open candidate
+	// ckpt, when set, receives a save opportunity after every query
 	// (SetCheckpointer).
 	ckpt *checkpoint.Coordinator
-	// resume, when set, is a loaded in-flight query waiting for its
-	// matching search (SetResume); consumed by the first match.
-	resume *checkpoint.QueryData
 }
 
 // oracleMetrics mirrors Stats into the observability registry, live, so
