@@ -150,7 +150,7 @@ func run() error {
 		// The coordinator's barrier state is as durable as the job state:
 		// journalled under -data-dir, recovered synchronously before the
 		// listener opens, so a restarted provesrv resumes the coordinated
-		// run at the exact level it died in.
+		// run at the level it died in and redoes that level.
 		dir := *distDir
 		if dir == "" {
 			dir = filepath.Join(*dataDir, "dist")
@@ -159,14 +159,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		recovering := j.Recovered()
+		if recovering {
+			fmt.Fprintf(os.Stderr, "provesrv: dist journal %s holds a prior run, recovering\n", dir)
+		}
 		if err := coord.AttachJournal(j); err != nil {
 			return err
 		}
-		if coord.Recovering() {
-			fmt.Fprintf(os.Stderr, "provesrv: dist journal %s holds a prior run, recovering\n", dir)
-			if err := coord.Recover(); err != nil {
-				return fmt.Errorf("dist journal recovery: %w", err)
-			}
+		if recovering {
 			st := coord.Status()
 			fmt.Fprintf(os.Stderr, "provesrv: coordinator recovered to level %d, generation %d\n", st.Level, st.Gen)
 		}

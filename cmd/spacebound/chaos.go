@@ -222,9 +222,9 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		if stErr != nil {
 			return fmt.Errorf("restarted coordinator status: %w", stErr)
 		}
-		// Recovery must not lose barrier progress: the coordinator accepted
-		// posts up to (at least) the level the kill monitor saw, so the
-		// journal must bring it back no lower.
+		// Recovery must not lose a closed level: the coordinator snapshots
+		// every level close before its status can show the next level, so
+		// the journal must bring it back no lower than the kill monitor saw.
 		if st.Level < killLevel {
 			return fmt.Errorf("coordinator recovered to level %d, below the level %d it was killed at", st.Level, killLevel)
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -54,12 +53,9 @@ func runCoordinator(df distFlags, protocol string, n int, scope *obs.Scope, witn
 		return err
 	}
 	scope.SetShardHealth(coord.ShardHealth)
-	scope.SetReadyCheck(func() error {
-		if coord.Recovering() {
-			return errors.New("dist: coordinator recovering")
-		}
-		return nil
-	})
+	// The journal recovers synchronously, before the listener opens:
+	// workers that survived a crash retry until the recovered coordinator
+	// answers.
 	if df.journalDir != "" {
 		fsFault, err := faults.ParseFSFault(df.journalFault)
 		if err != nil {
@@ -72,8 +68,16 @@ func runCoordinator(df distFlags, protocol string, n int, scope *obs.Scope, witn
 		if err != nil {
 			return err
 		}
+		recovering := j.Recovered()
+		if recovering {
+			fmt.Fprintf(os.Stderr, "spacebound: journal %s holds a prior run, recovering\n", df.journalDir)
+		}
 		if err := coord.AttachJournal(j); err != nil {
 			return err
+		}
+		if recovering {
+			st := coord.Status()
+			fmt.Fprintf(os.Stderr, "spacebound: recovered to level %d, generation %d\n", st.Level, st.Gen)
 		}
 	}
 	if df.corruptGets > 0 {
@@ -96,17 +100,6 @@ func runCoordinator(df distFlags, protocol string, n int, scope *obs.Scope, witn
 	// test) can find it when the flag uses port 0.
 	fmt.Fprintf(os.Stderr, "spacebound: coordinator on http://%s (%s n=%d, %d slices, lease %v)\n",
 		ln.Addr(), protocol, n, df.slices, df.lease)
-	// The recovery sweep runs after the listener is up: workers that
-	// survived the crash are already retrying, and the handler's recovery
-	// gate answers them 503 + Retry-After until the sweep finishes.
-	if coord.Recovering() {
-		fmt.Fprintf(os.Stderr, "spacebound: journal %s holds a prior run, recovering\n", df.journalDir)
-		if err := coord.Recover(); err != nil {
-			return fmt.Errorf("journal recovery: %w", err)
-		}
-		st := coord.Status()
-		fmt.Fprintf(os.Stderr, "spacebound: recovered to level %d, generation %d\n", st.Level, st.Gen)
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

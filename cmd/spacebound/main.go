@@ -26,14 +26,16 @@
 // testing; -dist-sequential runs the single-process reference whose witness
 // a distributed run must reproduce byte for byte.
 //
-// -dist-journal makes the coordinator crash-recoverable: barrier marks,
-// slice checkpoints, and retained exchange chunks are persisted to a
-// write-ahead journal plus periodic snapshots in that directory, and a
-// coordinator restarted over the same directory resumes the barrier at the
-// exact level it died in (leases are not persisted — workers
-// re-acquire under a fenced new generation). -dist-journal-fault injects
-// filesystem faults into the journal's writes for testing; a faulted
-// journal degrades to memory-only operation rather than failing the run.
+// -dist-journal makes the coordinator crash-recoverable: closed-level
+// stats, slice checkpoints, and retained exchange chunks are snapshotted
+// into that directory at every level close, and a coordinator restarted
+// over the same directory resumes the barrier at the level it died in and
+// redoes that level (leases are not persisted — workers re-acquire under a
+// fenced new generation). -dist-journal-fault injects filesystem faults
+// into the journal's writes for testing; a failed level-close snapshot
+// leaves the previous one as the recovery point rather than failing the
+// run, while a snapshot that cannot be published at start-up stops the
+// coordinator.
 //
 // -chaos executes a whole scripted failure schedule in one invocation: it
 // spawns a journalled coordinator and the scheduled workers as child

@@ -114,7 +114,7 @@ func syncDir(dir string) error {
 
 // SeqFiles is a family of sequence-numbered files in one directory, named
 // Prefix, then the sequence number zero-padded to Width digits, then
-// Suffix — snap-000000000007.ckpt, wal-00000003.seg.
+// Suffix — snap-000000000007.ckpt, state-00000003.ckpt.
 type SeqFiles struct {
 	Prefix, Suffix string
 	Width          int

@@ -20,11 +20,12 @@ import (
 // Base, caps at Max, and carries up to 25% seeded jitter so a fleet of
 // workers retrying the same coordinator does not retry in lockstep.
 // The attempt budget is sized for a coordinator outage: with the doubling
-// capped at 2s, 14 attempts ride through well over ten seconds of dead or
-// recovering coordinator — kill detection, restart delay, and the journal
-// recovery sweep together stay an order of magnitude below that — so a
-// healthy worker never exits during the window, it just keeps retrying
-// until the recovered coordinator either answers or fences it with 409.
+// capped at 2s, 14 attempts ride through well over ten seconds of dead
+// coordinator — kill detection, restart delay, and the journal recovery
+// that runs before the restarted listener opens together stay an order of
+// magnitude below that — so a healthy worker never exits during the
+// window, it just keeps retrying until the recovered coordinator either
+// answers or fences it with 409.
 const (
 	clientRetryBase = 50 * time.Millisecond
 	clientRetryMax  = 2 * time.Second
@@ -104,9 +105,9 @@ func (cl *client) do(ctx context.Context, method, path string, query url.Values,
 		case resp.StatusCode == http.StatusConflict:
 			return nil, nil, fmt.Errorf("%w: %s %s: %s", ErrLeaseLost, method, path, bytes.TrimSpace(respBody))
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			// A recovering coordinator answers 503 + Retry-After; flooring
-			// the next backoff step at it keeps the retry cadence aligned
-			// with the recovery sweep instead of hammering it.
+			// An overloaded or draining server may send Retry-After with
+			// its 429 or 503; flooring the next backoff step at it keeps
+			// the retry cadence at the pace the server asked for.
 			lastErr = fmt.Errorf("dist: %s %s: %s", method, path, resp.Status)
 			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
 				retryAfter = time.Duration(ra) * time.Second

@@ -31,6 +31,8 @@ type sliceInfo struct {
 	// The current level's barrier mark. A slice is marked only after its
 	// checkpoint and every chunk of the level landed, so a mark stays valid
 	// whoever owns the slice next: revocation and recovery both keep it.
+	// Level-close snapshots hold none, so a crash loses the marks of the
+	// level in flight.
 	// Posts are idempotent overwrites: a redone level produces the same
 	// deterministic values, so the last write is as good as the first.
 	expanded bool
@@ -53,10 +55,10 @@ type chunkKey struct{ level, from, to int }
 
 // Coordinator owns the authoritative state of a distributed run: slice
 // leases, the level barrier, retained exchange chunks and checkpoints, and
-// the aggregated per-level witness stats. It runs no goroutines of its
-// own — leases are expired lazily on every worker request — and its whole
-// state sits behind one mutex, which the modest request rate (a handful of
-// polls and posts per worker per level) never contends. A poll from a
+// the per-level witness stats summed over slices. It runs no goroutines of
+// its own — leases are expired lazily on every worker request — and its
+// whole state sits behind one mutex, which the modest request rate (a
+// handful of polls and posts per worker per level) never contends. A poll from a
 // worker with nothing to do parks outside the mutex on the change channel
 // and answers as soon as a barrier mark, lease or grant moves, so the
 // barrier advances at the speed of the last post, not of a polling
@@ -91,20 +93,13 @@ type Coordinator struct {
 	// mid-level shows up as a fat tail, not a lost sample).
 	levelStart time.Time
 
-	// Durability (S25). journal, when attached, records every accepted
-	// mutation; replaying makes the apply paths journal-silent while
-	// Recover feeds the WAL back through them. recovering gates the worker
-	// surface 503 between AttachJournal finding prior state and Recover
-	// finishing the sweep; chunk posts that land in that window are stashed
-	// in pending (first write wins) and installed after the journal's own
-	// copies. gen counts coordinator incarnations: each recovery bumps it
-	// and rebases every slice epoch to gen<<20, so grants fenced before the
-	// crash can never collide with post-restart epochs.
-	journal    *Journal
-	recovering bool
-	replaying  bool
-	pending    map[chunkKey][]byte
-	gen        int
+	// Durability (S25). journal, when attached, receives a snapshot of the
+	// whole state at every level close. gen counts coordinator
+	// incarnations: each recovery bumps it and rebases every slice epoch to
+	// gen<<20, so grants fenced before the crash can never collide with
+	// post-restart epochs.
+	journal *Journal
+	gen     int
 }
 
 // ExchangeLatencyBoundsMicros buckets dist_exchange_us, the time from a
@@ -391,7 +386,14 @@ func (c *Coordinator) checkOwnerLocked(w string, s int) error {
 	return nil
 }
 
-// putCheckpoint stores a slice's level checkpoint.
+// putCheckpoint stores a slice's level checkpoint if it advances the
+// slice's recovery point. The stored checkpoint stays monotonic in level:
+// the client retries on its request timeout while the original upload may
+// still be applied afterwards, so a delayed duplicate can arrive after a
+// newer level's checkpoint landed — storing it would regress the recovery
+// point, and a reassignment while it is >= 2 levels behind the run would
+// then be fatally unadoptable. Same-level posts carry identical bytes (the
+// encoding is deterministic), so dropping them loses nothing either.
 func (c *Coordinator) putCheckpoint(w string, s, level int, body []byte) error {
 	// Validate before locking: a torn upload must never become the
 	// recovery point.
@@ -412,32 +414,15 @@ func (c *Coordinator) putCheckpoint(w string, s, level int, body []byte) error {
 	if err := c.checkOwnerLocked(w, s); err != nil {
 		return err
 	}
-	if !c.applyCheckpointLocked(s, level, body) {
-		return nil
-	}
-	c.journal.append(journalRec{Tag: jrecCkpt, Slice: s, Level: level, Body: body})
-	return nil
-}
-
-// applyCheckpointLocked stores a slice checkpoint if it advances the
-// slice's recovery point, reporting whether it did. The stored checkpoint
-// stays monotonic in level: the client retries on its request timeout
-// while the original upload may still be applied afterwards, so a delayed
-// duplicate can arrive after a newer level's checkpoint landed — storing
-// it would regress the recovery point, and a reassignment while it is
-// >= 2 levels behind the run would then be fatally unadoptable. Same-level
-// posts carry identical bytes (the encoding is deterministic), so dropping
-// them loses nothing either.
-func (c *Coordinator) applyCheckpointLocked(s, level int, body []byte) bool {
 	sl := &c.slices[s]
 	if sl.hasCkpt && level <= sl.ckptLevel {
-		return false
+		return nil
 	}
 	sl.ckpt = body
 	sl.ckptLevel = level
 	sl.hasCkpt = true
 	c.scope.Counter("dist_ckpt_bytes").Add(int64(len(body)))
-	return true
+	return nil
 }
 
 // getCheckpoint serves a slice's newest checkpoint to its (new) owner.
@@ -471,19 +456,6 @@ func (c *Coordinator) putChunk(w string, body []byte) error {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := chunkKey{level: h.Level, from: h.From, to: h.To}
-	if c.recovering {
-		// Recovery window: the bytes are already verified, but ownership
-		// and the barrier position are unknown until the sweep finishes.
-		// Stash the first copy of each chunk and answer idempotently —
-		// Recover installs it only if the journal holds no copy (journaled
-		// bytes win) and the chunk's level is still open.
-		if _, ok := c.pending[key]; !ok {
-			c.pending[key] = body
-			c.scope.Counter("dist_chunks_pending").Add(1)
-		}
-		return nil
-	}
 	c.heartbeatLocked(w, now)
 	if h.Level < c.level {
 		// Delayed duplicate of a chunk for a closed level; the stored copy
@@ -495,6 +467,7 @@ func (c *Coordinator) putChunk(w string, body []byte) error {
 	if h.Level != c.level {
 		return fmt.Errorf("dist: chunk for level %d, run is at %d", h.Level, c.level)
 	}
+	key := chunkKey{level: h.Level, from: h.From, to: h.To}
 	if stored, ok := c.chunks[key]; ok && bytes.Equal(stored, body) {
 		// Identical repost — a retry whose original landed, or a redo after
 		// reassignment. First write won; idempotent regardless of who owns
@@ -504,19 +477,11 @@ func (c *Coordinator) putChunk(w string, body []byte) error {
 	if err := c.checkOwnerLocked(w, h.From); err != nil {
 		return err
 	}
-	c.journal.append(journalRec{Tag: jrecChunk, Level: h.Level, From: h.From, To: h.To, Body: body})
-	c.applyChunkLocked(key, body, now)
-	return nil
-}
-
-// applyChunkLocked stores one verified exchange chunk.
-func (c *Coordinator) applyChunkLocked(key chunkKey, body []byte, now time.Time) {
 	c.chunks[key] = body
 	c.scope.Counter("dist_chunks_posted").Add(1)
 	c.scope.Counter("dist_chunk_bytes").Add(int64(len(body)))
-	if !c.replaying {
-		c.scope.Histogram("dist_exchange_us", ExchangeLatencyBoundsMicros).Observe(now.Sub(c.levelStart).Microseconds())
-	}
+	c.scope.Histogram("dist_exchange_us", ExchangeLatencyBoundsMicros).Observe(now.Sub(c.levelStart).Microseconds())
+	return nil
 }
 
 // chunkSources lists the from-slices with a stored chunk addressed to
@@ -574,31 +539,22 @@ func (c *Coordinator) expanded(w string, s, level int, m levelMark) error {
 	if level != c.level {
 		return fmt.Errorf("dist: mark for level %d, run is at %d", level, c.level)
 	}
-	if sl := &c.slices[s]; sl.expanded && sl.mark == m {
-		return nil // duplicate — already applied and journaled
-	}
-	// Journal before applying: if this is the mark that closes the level,
-	// the apply snapshots and rotates the WAL, and the fallback-chain
-	// invariant needs the closing record to be the old WAL's last entry.
-	c.journal.append(journalRec{Tag: jrecExpanded, Slice: s, Level: level, Steps: m.Steps, Fresh: m.Fresh, Digest: m.Digest})
-	c.applyExpandedLocked(s, m)
-	return nil
-}
-
-// applyExpandedLocked marks a slice for the current level and closes the
-// level if it was the last one outstanding.
-func (c *Coordinator) applyExpandedLocked(s int, m levelMark) {
 	sl := &c.slices[s]
+	if sl.expanded && sl.mark == m {
+		return nil // duplicate — already applied
+	}
 	sl.expanded = true
 	sl.mark = m
 	c.maybeAdvanceLocked()
 	c.notifyLocked()
+	return nil
 }
 
 // maybeAdvanceLocked closes the level once every slice has marked it:
 // record the depth's count and digest, add the level's steps, prune chunks
 // below the level (the next level's catch-up needs only this level's set),
-// and either start the next level or finish the run.
+// and either start the next level or finish the run. Either way the new
+// state is snapshotted: it is the journal's only durable record.
 func (c *Coordinator) maybeAdvanceLocked() {
 	if c.done {
 		return

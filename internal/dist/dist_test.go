@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -312,5 +313,36 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("zombie post failed with %v, want ErrLeaseLost", err)
+	}
+}
+
+// TestNegativeMarkRejected: a barrier mark with negative steps or fresh is
+// refused with 400 and leaves the slice unmarked, so the step total and
+// the level's count never absorb it.
+func TestNegativeMarkRejected(t *testing.T) {
+	tr := newTestRun(t, 3, 2, 4, 5000)
+	resp, err := newClient(tr.srv.URL, "w", 1).poll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Slices) != 1 {
+		t.Fatalf("w leases %v, want one slice", ownedSlices(resp))
+	}
+	slice := resp.Slices[0].Slice
+	for _, counts := range []string{"steps=3&fresh=-5", "steps=-3&fresh=5"} {
+		url := fmt.Sprintf("%s/dist/expanded?worker=w&slice=%d&level=0&%s&digest0=0&digest1=0", tr.srv.URL, slice, counts)
+		post, err := http.Post(url, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		post.Body.Close()
+		if post.StatusCode != http.StatusBadRequest {
+			t.Fatalf("mark with %s: %s, want 400", counts, post.Status)
+		}
+	}
+	tr.coord.mu.Lock()
+	defer tr.coord.mu.Unlock()
+	if sl := tr.coord.slices[slice]; sl.expanded || sl.mark != (levelMark{}) {
+		t.Fatalf("rejected mark applied: %+v", sl.mark)
 	}
 }

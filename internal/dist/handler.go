@@ -42,57 +42,34 @@ func readBody(w http.ResponseWriter, body io.ReadCloser, contentLength int64) ([
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /dist/spec", c.handleSpec)
-	mux.HandleFunc("POST /dist/poll", c.gated(c.handlePoll))
-	mux.HandleFunc("POST /dist/heartbeat", c.gated(c.handleHeartbeat))
-	mux.HandleFunc("POST /dist/checkpoint", c.gated(c.handlePutCheckpoint))
-	mux.HandleFunc("GET /dist/checkpoint", c.gated(c.handleGetCheckpoint))
+	mux.HandleFunc("POST /dist/poll", c.handlePoll)
+	mux.HandleFunc("POST /dist/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /dist/checkpoint", c.handlePutCheckpoint)
+	mux.HandleFunc("GET /dist/checkpoint", c.handleGetCheckpoint)
 	mux.HandleFunc("POST /dist/chunk", c.handlePutChunk)
-	mux.HandleFunc("GET /dist/chunkset", c.gated(c.handleChunkSet))
-	mux.HandleFunc("GET /dist/chunk", c.gated(c.handleGetChunk))
-	mux.HandleFunc("POST /dist/expanded", c.gated(c.handleExpanded))
-	mux.HandleFunc("GET /dist/witness", c.gated(c.handleWitness))
+	mux.HandleFunc("GET /dist/chunkset", c.handleChunkSet)
+	mux.HandleFunc("GET /dist/chunk", c.handleGetChunk)
+	mux.HandleFunc("POST /dist/expanded", c.handleExpanded)
+	mux.HandleFunc("GET /dist/witness", c.handleWitness)
 	mux.HandleFunc("GET /dist/status", c.handleStatus)
 	mux.HandleFunc("GET /dist/healthz", c.handleHealthz)
 	mux.HandleFunc("GET /dist/readyz", c.handleReadyz)
 	return mux
 }
 
-// gated wraps a worker-facing handler with the recovery gate: while the
-// startup sweep rebuilds state, answers are 503 + Retry-After so clients
-// back off and retry instead of acting on half-recovered state. Chunk
-// POSTs are deliberately NOT gated — their bytes are self-validating and
-// the recovery window stashes them idempotently (first write wins against
-// the journal's copy) rather than making the poster re-upload.
-func (c *Coordinator) gated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c.Recovering() {
-			w.Header().Set("Retry-After", "1")
-			distWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "dist: coordinator recovering"})
-			return
-		}
-		h(w, r)
-	}
-}
-
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	distWriteJSON(w, http.StatusOK, c.Status())
 }
 
-// handleHealthz answers 200 whenever the process serves at all — liveness,
-// for supervisors deciding between "recovering" and "dead".
+// handleHealthz answers 200 whenever the process serves at all — liveness.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ok\n"))
 }
 
-// handleReadyz is readiness: 503 while the recovery sweep runs (mirroring
-// provesrv's drain discipline), 200 once the worker surface is open.
+// handleReadyz is readiness. Recovery finishes inside AttachJournal,
+// before the listener opens, so a coordinator that serves is ready.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if c.Recovering() {
-		w.Header().Set("Retry-After", "1")
-		distWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "dist: coordinator recovering"})
-		return
-	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ready\n"))
 }
@@ -295,6 +272,10 @@ func (c *Coordinator) handleExpanded(w http.ResponseWriter, r *http.Request) {
 	fresh, err := intParam(r, "fresh")
 	if err != nil {
 		distError(w, err)
+		return
+	}
+	if steps < 0 || fresh < 0 {
+		distError(w, fmt.Errorf("dist: mark with negative counts: steps %d, fresh %d", steps, fresh))
 		return
 	}
 	m := levelMark{Steps: int64(steps), Fresh: int64(fresh)}

@@ -15,42 +15,31 @@ import (
 	"repro/internal/obs"
 )
 
-// The coordinator's durability layer: a write-ahead journal plus per-level
-// snapshots, both in the S20 checksummed-segment format.
+// The coordinator's durability layer: one atomic snapshot of the whole
+// coordinator state per level close, in the S20 checksummed-segment format.
 //
 // Layout of the journal directory:
 //
-//	state-<seq>.ckpt   atomic snapshot of the whole coordinator state,
-//	                   written at every level close (and at attach/recover)
-//	wal-<seq>.seg      append-only log of every accepted mutation since
-//	                   snapshot <seq>
+//	state-<seq>.ckpt   atomic, fsynced snapshot written at every level
+//	                   close, when a fresh journal is attached, and after
+//	                   every recovery
 //
-// A snapshot and its WAL pair up: replaying wal-<seq> over state-<seq>
-// reproduces the coordinator's in-memory state at the moment of the last
-// durable append. The last two pairs are kept (keep-2, matching the
-// checkpoint store); if the newest snapshot is corrupt, recovery falls back
-// to the previous one and replays *both* WALs — wal-<seq-1> ends with
-// exactly the barrier mark whose level close produced snapshot <seq>, so
-// the chain is gapless.
+// Every snapshot is self-contained. The last two are kept (keep-2,
+// matching the checkpoint store); if the newest is corrupt, recovery falls
+// back to the previous one. The posts accepted since the last level close
+// are not journalled: a crash loses them, and the workers redo the level
+// in flight, byte-identically, from the snapshot's checkpoints and
+// retained chunks.
 //
-// Appends are not fsynced per record: SIGKILL (the chaos harness's crash)
-// loses nothing the OS already buffered, so crash-recovery is exact;
-// a power loss can tear the tail, which checkpoint.OpenLog detects and
-// truncates to the last intact record — an older but consistent state the
-// workers redo forward from deterministically.
-//
-// Disk faults degrade, never abort: a failed append or snapshot marks the
-// journal degraded (memory-only, loud metrics) and the barrier keeps
-// running; the next successful snapshot re-establishes durability with a
-// fresh WAL.
+// Disk faults degrade, never abort: a failed level-close snapshot is
+// counted and evented, the barrier keeps running on its in-memory state,
+// and the previous snapshot stays the recovery point until the next
+// successful one.
 
-// Journal record tags. 1–3 and 5 are WAL mutations, 10–13 snapshot
-// records.
+// Journal record tags, all of them snapshot records. Tags 1-3 and 5
+// belonged to a write-ahead log that journals no longer keep; they decode
+// as unknown.
 const (
-	jrecCkpt     = 1  // slice checkpoint accepted: slice, level, body
-	jrecChunk    = 2  // exchange chunk stored: level, from, to, body
-	jrecExpanded = 3  // barrier mark: slice, level, steps, fresh, digest
-	jrecGen      = 5  // generation bump written at the start of a recovery
 	jrecMeta     = 10 // snapshot meta (JSON)
 	jrecLevel    = 11 // one closed level's stats: fresh, digest
 	jrecSlice    = 12 // one slice's full state
@@ -58,8 +47,8 @@ const (
 )
 
 // errJournalCorrupt tags a journal record whose checksum held but whose
-// content does not decode — the condition recovery skips past (keeping the
-// intact prefix) and the fuzz target proves is never a panic.
+// content does not decode — the condition that makes recovery skip a
+// snapshot, and that the fuzz target proves is never a panic.
 var errJournalCorrupt = errors.New("dist: journal record corrupt")
 
 // journalRec is a decoded journal record; which fields are meaningful
@@ -72,7 +61,6 @@ type journalRec struct {
 	Steps     int64
 	Fresh     int64
 	Digest    explore.Fingerprint
-	Gen       int
 	Flags     byte
 	CkptLevel int
 	Reassigns int
@@ -93,24 +81,11 @@ func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v
 func (r *journalRec) encode() []byte {
 	b := []byte{r.Tag}
 	switch r.Tag {
-	case jrecCkpt:
-		b = appendUvarint(b, uint64(r.Slice))
-		b = appendUvarint(b, uint64(r.Level))
-		b = append(b, r.Body...)
-	case jrecChunk, jrecRetained:
+	case jrecRetained:
 		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.From))
 		b = appendUvarint(b, uint64(r.To))
 		b = append(b, r.Body...)
-	case jrecExpanded:
-		b = appendUvarint(b, uint64(r.Slice))
-		b = appendUvarint(b, uint64(r.Level))
-		b = appendUvarint(b, uint64(r.Steps))
-		b = appendUvarint(b, uint64(r.Fresh))
-		b = appendUvarint(b, r.Digest[0])
-		b = appendUvarint(b, r.Digest[1])
-	case jrecGen:
-		b = appendUvarint(b, uint64(r.Gen))
 	case jrecMeta:
 		b = append(b, r.Body...)
 	case jrecLevel:
@@ -158,8 +133,7 @@ func uvarint64Field(b []byte, what string) (uint64, []byte, error) {
 // decodeJournalRecord decodes one record payload. Corruption anywhere — an
 // unknown tag, a truncated or oversized field, trailing bytes after a
 // fixed-size record — fails with an error wrapping errJournalCorrupt and
-// never panics; recovery treats the first undecodable record as the end of
-// the intact prefix.
+// never panics.
 func decodeJournalRecord(payload []byte) (journalRec, error) {
 	var r journalRec
 	if len(payload) == 0 {
@@ -169,15 +143,7 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 	b := payload[1:]
 	var err error
 	switch r.Tag {
-	case jrecCkpt:
-		if r.Slice, b, err = uvarintField(b, "ckpt slice"); err != nil {
-			return r, err
-		}
-		if r.Level, b, err = uvarintField(b, "ckpt level"); err != nil {
-			return r, err
-		}
-		r.Body = b
-	case jrecChunk, jrecRetained:
+	case jrecRetained:
 		if r.Level, b, err = uvarintField(b, "chunk level"); err != nil {
 			return r, err
 		}
@@ -188,39 +154,6 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 			return r, err
 		}
 		r.Body = b
-	case jrecExpanded:
-		if r.Slice, b, err = uvarintField(b, "expanded slice"); err != nil {
-			return r, err
-		}
-		if r.Level, b, err = uvarintField(b, "expanded level"); err != nil {
-			return r, err
-		}
-		var steps int
-		if steps, b, err = uvarintField(b, "expanded steps"); err != nil {
-			return r, err
-		}
-		r.Steps = int64(steps)
-		var fresh int
-		if fresh, b, err = uvarintField(b, "expanded fresh"); err != nil {
-			return r, err
-		}
-		r.Fresh = int64(fresh)
-		if r.Digest[0], b, err = uvarint64Field(b, "expanded digest0"); err != nil {
-			return r, err
-		}
-		if r.Digest[1], b, err = uvarint64Field(b, "expanded digest1"); err != nil {
-			return r, err
-		}
-		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after expanded record", errJournalCorrupt, len(b))
-		}
-	case jrecGen:
-		if r.Gen, b, err = uvarintField(b, "generation"); err != nil {
-			return r, err
-		}
-		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after generation record", errJournalCorrupt, len(b))
-		}
 	case jrecMeta:
 		r.Body = b
 	case jrecLevel:
@@ -278,11 +211,13 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 	return r, nil
 }
 
-// journalFormat names the journal's layout: one barrier mark per slice per
+// journalFormat names the snapshot layout: one barrier mark per slice per
 // level, and a levels list that at level L holds depths 0..L-1. The
 // two-phase coordinator's snapshots carry no format (it reads as 0), and
-// their levels list at level L already holds depth L, so replaying one
-// here would count a depth twice. AttachJournal refuses any other format.
+// their levels list at level L already holds depth L, so recovering from
+// one here would count a depth twice. AttachJournal refuses any other
+// format. Journals that also kept a write-ahead log wrote this same
+// format; their snapshots load, and their log segments are ignored.
 const journalFormat = 1
 
 // journalMeta is the JSON body of a snapshot's jrecMeta record.
@@ -312,13 +247,16 @@ type snapSlice struct {
 }
 
 // journalState is everything recovery rebuilds the coordinator from: the
-// newest intact snapshot plus the decoded WAL records to replay over it.
+// newest intact snapshot.
 type journalState struct {
-	meta    journalMeta
-	levels  []LevelStat
-	slices  []snapSlice
-	chunks  map[chunkKey][]byte
-	walRecs []journalRec
+	meta   journalMeta
+	levels []LevelStat
+	slices []snapSlice
+	chunks map[chunkKey][]byte
+	// skipped is set when OpenJournal passed over a corrupt newer
+	// snapshot to load this one. That snapshot may carry one generation
+	// more than this one, so recovery must bump past it.
+	skipped bool
 }
 
 // FileOpener is the journal's file-creation hook: the production opener is
@@ -344,28 +282,19 @@ type Journal struct {
 	open  FileOpener
 	scope *obs.Scope
 
-	seq      uint64          // snapshot seq the active WAL extends
-	wal      *checkpoint.Log // nil while degraded or before attach
-	degraded bool
-
-	recovered *journalState // non-nil until Recover consumes it
+	seq       uint64        // the sequence number the next snapshot gets
+	recovered *journalState // non-nil until AttachJournal consumes it
 }
 
-// The journal's two file families: state-<seq>.ckpt and wal-<seq>.seg.
-var (
-	snapFiles = checkpoint.SeqFiles{Prefix: "state-", Suffix: ".ckpt", Width: 8}
-	walFiles  = checkpoint.SeqFiles{Prefix: "wal-", Suffix: ".seg", Width: 8}
-	snapPath  = snapFiles.Path
-	walPath   = walFiles.Path
-)
+// snapFiles names the journal's snapshots: state-<seq>.ckpt.
+var snapFiles = checkpoint.SeqFiles{Prefix: "state-", Suffix: ".ckpt", Width: 8}
 
 // OpenJournal opens (or creates) the journal directory and, when prior
-// state exists, loads the newest intact snapshot chain: snapshot N plus
-// wal-N, falling back to snapshot N-1 plus both WALs when N is corrupt.
-// The torn tail of a WAL — a crash mid-append — is truncated to the last
-// intact, decodable record, and wal-N stays open to extend after recovery.
-// A directory with snapshot files none of which load is an error: silently
-// starting a finished run over would be worse than failing loudly.
+// state exists, loads the newest intact snapshot, falling back to the
+// previous one when the newest is corrupt. A directory with snapshot files
+// none of which load is an error: silently starting a finished run over
+// would be worse than failing loudly. Files other than snapshots are
+// ignored.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dist: journal dir: %w", err)
@@ -377,11 +306,9 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	}
 	newest := seqs[len(seqs)-1]
 	st, err := j.loadSnapshot(newest)
-	var prevRecs []journalRec
-	if errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, errJournalCorrupt) {
-		// Corrupt-skip fallback: the previous snapshot plus both WALs is
-		// the same state — wal-(N-1)'s replay ends exactly where snapshot N
-		// begins.
+	if IsJournalCorrupt(err) {
+		// Every snapshot is self-contained: the previous one is an older
+		// recovery point the workers redo forward from.
 		j.scope.Counter("dist_journal_snapshot_corrupt").Add(1)
 		j.scope.Event("dist_journal_snapshot_corrupt", slog.String("cause", err.Error()))
 		if len(seqs) < 2 {
@@ -391,37 +318,12 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 		if st, err = j.loadSnapshot(prev); err != nil {
 			return nil, fmt.Errorf("dist: journal fallback snapshot %d: %w", prev, err)
 		}
-		wal, recs, err := j.openWAL(prev)
-		if err != nil {
-			return nil, err
-		}
-		wal.Close()
-		prevRecs = recs
+		st.skipped = true
 	} else if err != nil {
 		return nil, fmt.Errorf("dist: journal snapshot %d: %w", newest, err)
 	}
-	wal, recs, err := j.openWAL(newest)
-	if err != nil {
-		return nil, err
-	}
-	st.walRecs = append(prevRecs, recs...)
-	j.seq, j.wal, j.recovered = newest, wal, st
+	j.seq, j.recovered = newest+1, st
 	return j, nil
-}
-
-// attachFresh seeds a brand-new journal directory: snapshot 0 of the empty
-// run plus an empty active WAL, so a crash before the first level close
-// still recovers (to the start).
-func (j *Journal) attachFresh(records [][]byte) error {
-	if j.recovered != nil {
-		return fmt.Errorf("dist: journal holds recovered state, not fresh")
-	}
-	if _, err := checkpoint.PublishSegment(snapPath(j.dir, 0), j.open, records); err != nil {
-		return err
-	}
-	wal, _, err := j.openWAL(0)
-	j.wal = wal
-	return err
 }
 
 // Recovered reports whether the journal loaded prior state at open.
@@ -432,7 +334,7 @@ func (j *Journal) Dir() string { return j.dir }
 
 // loadSnapshot reads and decodes one snapshot file into a journalState.
 func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
-	recs, err := checkpoint.ReadSegmentFile(snapPath(j.dir, seq))
+	recs, err := checkpoint.ReadSegmentFile(snapFiles.Path(j.dir, seq))
 	if err != nil {
 		return nil, err
 	}
@@ -487,124 +389,23 @@ func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
 	return st, nil
 }
 
-// openWAL opens wal-<seq> for appending and returns its records: the
-// longest prefix that is both checksum-intact and decodable. The tail past
-// it — a crash mid-append, or a record whose checksum held over garbage —
-// is truncated, loudly. A missing WAL opens empty: the crash may have hit
-// between snapshot and WAL creation.
-func (j *Journal) openWAL(seq uint64) (*checkpoint.Log, []journalRec, error) {
-	path := walPath(j.dir, seq)
-	var recs []journalRec
-	var decodeErr error
-	wal, err := checkpoint.OpenLog(path, j.open, func(raws [][]byte) (int, error) {
-		for _, raw := range raws {
-			r, err := decodeJournalRecord(raw)
-			if err != nil {
-				decodeErr = err
-				break
-			}
-			recs = append(recs, r)
-		}
-		return len(recs), nil
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("dist: journal WAL %d: %w", seq, err)
-	}
-	if torn := wal.Torn(); torn != nil {
-		if decodeErr != nil {
-			torn.Cause = decodeErr
-		}
-		j.scope.Counter("dist_journal_tail_truncated").Add(1)
-		j.scope.Event("dist_journal_tail_truncated",
-			append(torn.Attrs(), slog.String("what", filepath.Base(path)))...)
-	}
-	return wal, recs, nil
-}
-
-// append logs one mutation. A write failure degrades the journal to
-// memory-only — counted and evented loudly, never surfaced to the barrier:
-// the run keeps going, it just stops being crash-recoverable until the
-// next successful snapshot re-establishes durability.
-func (j *Journal) append(rec journalRec) {
-	if j == nil || j.degraded || j.wal == nil {
-		return
-	}
-	n, err := j.wal.Append(rec.encode())
-	if err != nil {
-		j.degrade("append", err)
-		return
-	}
-	j.scope.Counter("dist_journal_appends").Add(1)
-	j.scope.Counter("dist_journal_bytes").Add(n)
-}
-
-// degrade marks the journal memory-only after a disk fault.
-func (j *Journal) degrade(what string, err error) {
-	j.degraded = true
-	j.closeWAL()
-	j.scope.Counter("dist_journal_errors").Add(1)
-	j.scope.Gauge("dist_journal_degraded").Set(1)
-	j.scope.Event("dist_journal_degraded", slog.String("what", what), slog.String("cause", err.Error()))
-}
-
-func (j *Journal) closeWAL() {
-	if j.wal != nil {
-		j.wal.Close()
-		j.wal = nil
-	}
-}
-
-// Degraded reports whether the journal has fallen back to memory-only.
-func (j *Journal) Degraded() bool { return j != nil && j.degraded }
-
 // snapshot atomically publishes the next snapshot from the given records
-// and rotates the WAL. On success old snapshot/WAL pairs beyond keep-2 are
-// garbage-collected and a degraded journal is re-established (the snapshot
-// captured everything the dead WAL missed). On failure the journal keeps
-// appending to the current WAL — replay then spans multiple levels, which
-// recovery handles — unless that WAL is dead too, in which case it stays
-// degraded.
+// and, on success, garbage-collects snapshots beyond keep-2. On failure the
+// previous snapshot stays the recovery point.
 func (j *Journal) snapshot(records [][]byte) error {
-	if j == nil {
-		return nil
-	}
-	next := j.seq + 1
-	path := snapPath(j.dir, next)
+	path := snapFiles.Path(j.dir, j.seq)
 	if _, err := checkpoint.PublishSegment(path, j.open, records); err != nil {
 		j.scope.Counter("dist_journal_errors").Add(1)
 		j.scope.Event("dist_journal_snapshot_failed",
 			slog.String("what", filepath.Base(path)), slog.String("cause", err.Error()))
 		return err
 	}
-	j.closeWAL()
-	j.seq = next
-	wal, _, err := j.openWAL(next)
-	if err != nil {
-		j.degrade("rotate", err)
-	} else {
-		j.wal = wal
-		if j.degraded {
-			j.degraded = false
-			j.scope.Gauge("dist_journal_degraded").Set(0)
-			j.scope.Event("dist_journal_recovered_durability")
-		}
-	}
 	j.scope.Counter("dist_journal_snapshots").Add(1)
-	// Keep-2 GC. WALs can outlive their snapshot when a snapshot write
-	// failed, so both families are swept by the same floor.
-	if next >= 2 {
-		snapFiles.Prune(j.dir, next-1)
-		walFiles.Prune(j.dir, next-1)
+	if j.seq >= 2 {
+		snapFiles.Prune(j.dir, j.seq-1)
 	}
+	j.seq++
 	return nil
-}
-
-// nextSeq is the sequence number the next snapshot will get.
-func (j *Journal) nextSeq() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.seq + 1
 }
 
 // IsJournalCorrupt reports whether err marks a corrupt journal record.

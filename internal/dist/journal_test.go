@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,28 +19,30 @@ import (
 // tag — the corpus the decoder robustness tests mutate.
 func sampleJournalRecords() map[string][]byte {
 	return map[string][]byte{
-		"ckpt":     (&journalRec{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")}).encode(),
-		"chunk":    (&journalRec{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")}).encode(),
-		"expanded": (&journalRec{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}}).encode(),
-		"empty":    (&journalRec{Tag: jrecExpanded, Slice: 0, Level: 2}).encode(),
-		"gen":      (&journalRec{Tag: jrecGen, Gen: 9}).encode(),
-		"meta":     (&journalRec{Tag: jrecMeta, Body: []byte(`{"seq":1}`)}).encode(),
-		"level":    (&journalRec{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}}).encode(),
+		"meta":  (&journalRec{Tag: jrecMeta, Body: []byte(`{"seq":1}`)}).encode(),
+		"level": (&journalRec{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}}).encode(),
 		"slice": (&journalRec{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagExpanded,
 			CkptLevel: 6, Steps: 100, Fresh: 7, Digest: explore.Fingerprint{3, 4}, Reassigns: 2, Body: []byte("ckpt")}).encode(),
 		"retained": (&journalRec{Tag: jrecRetained, Level: 2, From: 0, To: 1, Body: []byte("retained")}).encode(),
 	}
 }
 
+// walRecords are write-ahead-log records as journals once wrote them to
+// wal-<seq>.seg: a slice checkpoint, an exchange chunk, two barrier marks
+// and a generation bump. No journal reads them any more, so each must
+// decode as an unknown tag.
+var walRecords = map[string][]byte{
+	"ckpt":     []byte("\x01\x02\x05ckpt-bytes"),
+	"chunk":    []byte("\x02\x03\x01\x02chunk-bytes"),
+	"expanded": []byte("\x03\x01\x04\x89\x06\x1f\xad\xbd\x03\xef\xfd\x02"),
+	"empty":    []byte("\x03\x00\x02\x00\x00\x00\x00"),
+	"gen":      []byte("\x05\t"),
+}
+
 // TestJournalRecordRoundTrip: every record tag encodes and decodes back to
 // the same fields.
 func TestJournalRecordRoundTrip(t *testing.T) {
 	recs := []journalRec{
-		{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")},
-		{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")},
-		{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}},
-		{Tag: jrecExpanded, Slice: 0, Level: 2},
-		{Tag: jrecGen, Gen: 9},
 		{Tag: jrecMeta, Body: []byte(`{"seq":1}`)},
 		{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}},
 		{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagEverOwned, CkptLevel: 6, Steps: 100,
@@ -51,12 +54,27 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tag %d: %v", want.Tag, err)
 		}
-		if got.Tag != want.Tag || got.Slice != want.Slice || got.Level != want.Level ||
-			got.From != want.From || got.To != want.To || got.Steps != want.Steps ||
-			got.Fresh != want.Fresh || got.Digest != want.Digest || got.Gen != want.Gen ||
-			got.Flags != want.Flags || got.CkptLevel != want.CkptLevel || got.Reassigns != want.Reassigns ||
-			!bytes.Equal(got.Body, want.Body) {
+		if !sameJournalRec(got, want) {
 			t.Fatalf("tag %d round trip:\nwant %+v\ngot  %+v", want.Tag, want, got)
+		}
+	}
+}
+
+// sameJournalRec compares two records field by field.
+func sameJournalRec(a, b journalRec) bool {
+	return a.Tag == b.Tag && a.Slice == b.Slice && a.Level == b.Level &&
+		a.From == b.From && a.To == b.To && a.Steps == b.Steps &&
+		a.Fresh == b.Fresh && a.Digest == b.Digest && a.Flags == b.Flags &&
+		a.CkptLevel == b.CkptLevel && a.Reassigns == b.Reassigns && bytes.Equal(a.Body, b.Body)
+}
+
+// TestJournalRefusesWALRecords: the retired write-ahead-log record kinds
+// fail as unknown tags, typed.
+func TestJournalRefusesWALRecords(t *testing.T) {
+	for name, raw := range walRecords {
+		_, err := decodeJournalRecord(raw)
+		if !IsJournalCorrupt(err) || !strings.Contains(err.Error(), "unknown tag") {
+			t.Fatalf("%s: %v, want an unknown-tag corrupt error", name, err)
 		}
 	}
 }
@@ -104,14 +122,18 @@ func TestJournalRecordTruncations(t *testing.T) {
 	}
 }
 
-// FuzzDecodeJournalRecord: arbitrary bytes never panic the decoder, and
-// every failure is the typed corrupt error.
+// FuzzDecodeJournalRecord: arbitrary bytes never panic the decoder, every
+// failure is the typed corrupt error, and no retired write-ahead-log tag
+// decodes.
 func FuzzDecodeJournalRecord(f *testing.F) {
 	for _, good := range sampleJournalRecords() {
 		f.Add(good)
 	}
+	for _, wal := range walRecords {
+		f.Add(wal)
+	}
 	f.Add([]byte{})
-	f.Add([]byte{jrecExpanded, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeJournalRecord(data)
 		if err != nil {
@@ -120,17 +142,17 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 			}
 			return
 		}
+		switch rec.Tag {
+		case 1, 2, 3, 5:
+			t.Fatalf("retired write-ahead-log tag %d decoded: %+v", rec.Tag, rec)
+		}
 		// A successful decode must round-trip at the value level (the byte
 		// level is not canonical: uvarints tolerate redundant encodings).
 		again, err := decodeJournalRecord(rec.encode())
 		if err != nil {
 			t.Fatalf("re-encoding a decoded record does not decode: %v", err)
 		}
-		if again.Tag != rec.Tag || again.Slice != rec.Slice || again.Level != rec.Level ||
-			again.From != rec.From || again.To != rec.To || again.Steps != rec.Steps ||
-			again.Fresh != rec.Fresh || again.Digest != rec.Digest || again.Gen != rec.Gen ||
-			again.Flags != rec.Flags || again.CkptLevel != rec.CkptLevel ||
-			again.Reassigns != rec.Reassigns || !bytes.Equal(again.Body, rec.Body) {
+		if !sameJournalRec(again, rec) {
 			t.Fatalf("value round trip changed the record:\nfirst  %+v\nsecond %+v", rec, again)
 		}
 	})
@@ -146,100 +168,27 @@ func openTestJournal(t *testing.T, dir string, opener FileOpener) *Journal {
 	return j
 }
 
-// TestJournalTornTailTruncated: garbage appended to the active WAL — a
-// crash mid-append — is detected and truncated on the next open; the
-// intact prefix survives.
-func TestJournalTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir, nil)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
-		t.Fatal(err)
-	}
-	j.append(journalRec{Tag: jrecGen, Gen: 1})
-	j.append(journalRec{Tag: jrecGen, Gen: 2})
-	if j.Degraded() {
-		t.Fatal("healthy appends degraded the journal")
-	}
-	j.wal.Close()
-	// Tear the tail: half an append.
-	f, err := os.OpenFile(walPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x22, 0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before, _ := os.Stat(walPath(dir, 0))
-
-	j2 := openTestJournal(t, dir, nil)
-	if !j2.Recovered() {
-		t.Fatal("journal with state did not recover")
-	}
-	recs := j2.recovered.walRecs
-	if len(recs) != 2 || recs[0].Gen != 1 || recs[1].Gen != 2 {
-		t.Fatalf("recovered WAL records: %+v", recs)
-	}
-	after, err := os.Stat(walPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Fatalf("torn tail not truncated: %d -> %d bytes", before.Size(), after.Size())
-	}
-}
-
-// TestJournalUndecodableRecordTruncated: a record whose checksum holds but
-// whose content is garbage (an unknown tag) ends the intact prefix — the
-// WAL is truncated just before it, not at the checksum layer's longer
-// valid offset.
-func TestJournalUndecodableRecordTruncated(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir, nil)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
-		t.Fatal(err)
-	}
-	j.append(journalRec{Tag: jrecGen, Gen: 1})
-	// A checksum-valid record with an unknown tag: append through the
-	// WAL log directly.
-	if _, err := j.wal.Append([]byte{0xfe, 0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	j.append(journalRec{Tag: jrecGen, Gen: 2}) // after the garbage; must be dropped too
-	j.wal.Close()
-
-	j2 := openTestJournal(t, dir, nil)
-	recs := j2.recovered.walRecs
-	if len(recs) != 1 || recs[0].Gen != 1 {
-		t.Fatalf("recovered WAL records: %+v", recs)
-	}
-	// The truncation must leave a WAL the next open reads cleanly.
-	j3 := openTestJournal(t, dir, nil)
-	if got := j3.recovered.walRecs; len(got) != 1 || got[0].Gen != 1 {
-		t.Fatalf("re-opened WAL records: %+v", got)
-	}
+// metaRecords is a minimal snapshot: one meta record for snapshot seq.
+func metaRecords(t *testing.T, seq uint64) [][]byte {
+	t.Helper()
+	return [][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, seq, 1)}).encode()}
 }
 
 // TestJournalCorruptSnapshotFallsBack: flipping a byte in the newest
-// snapshot sends recovery to the previous snapshot plus both WALs — the
-// gapless chain.
+// snapshot sends recovery to the previous snapshot, which is
+// self-contained, and marks the state as having skipped a newer one; the
+// next snapshot does not overwrite the corrupt file.
 func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir, nil)
-	meta0 := [][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}
-	if err := j.attachFresh(meta0); err != nil {
-		t.Fatal(err)
+	for seq := uint64(0); seq <= 1; seq++ {
+		if err := j.snapshot(metaRecords(t, seq)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	j.append(journalRec{Tag: jrecGen, Gen: 1})
-	meta1 := [][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 1, 1)}).encode()}
-	if err := j.snapshot(meta1); err != nil {
-		t.Fatal(err)
-	}
-	j.append(journalRec{Tag: jrecGen, Gen: 2})
-	j.wal.Close()
 
 	// Corrupt the newest snapshot.
-	path := snapPath(dir, 1)
+	path := snapFiles.Path(dir, 1)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,138 +202,110 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 	if !j2.Recovered() {
 		t.Fatal("fallback did not recover")
 	}
-	if j2.recovered.meta.Seq != 0 {
-		t.Fatalf("recovered from snapshot %d, want the fallback 0", j2.recovered.meta.Seq)
+	if st := j2.recovered; st.meta.Seq != 0 || !st.skipped {
+		t.Fatalf("recovered from snapshot %d (skipped %v), want the fallback 0 past a skipped one", st.meta.Seq, st.skipped)
 	}
-	// Both WALs replay: gen 1 (wal-0) then gen 2 (wal-1).
-	recs := j2.recovered.walRecs
-	if len(recs) != 2 || recs[0].Gen != 1 || recs[1].Gen != 2 {
-		t.Fatalf("fallback WAL chain: %+v", recs)
+	if j2.seq != 2 {
+		t.Fatalf("next snapshot gets seq %d, want 2 past the corrupt one", j2.seq)
 	}
 }
 
-// TestJournalSnapshotGC: after the third snapshot only the last two
-// snapshot/WAL pairs remain on disk.
+// TestJournalSnapshotGC: after the fourth snapshot only the last two
+// remain on disk.
 func TestJournalSnapshotGC(t *testing.T) {
 	dir := t.TempDir()
 	j := openTestJournal(t, dir, nil)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := j.snapshot([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, seq, 1)}).encode()}); err != nil {
+	for seq := uint64(0); seq <= 3; seq++ {
+		if err := j.snapshot(metaRecords(t, seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snaps, _ := filepath.Glob(filepath.Join(dir, "state-*.ckpt"))
-	wals, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(snaps) != 2 || len(wals) != 2 {
-		t.Fatalf("keep-2 GC left %d snapshots, %d WALs", len(snaps), len(wals))
+	if len(snaps) != 2 {
+		t.Fatalf("keep-2 GC left %d snapshots: %v", len(snaps), snaps)
 	}
-	if _, err := os.Stat(snapPath(dir, 3)); err != nil {
-		t.Fatalf("newest snapshot missing: %v", err)
-	}
-	if _, err := os.Stat(snapPath(dir, 2)); err != nil {
-		t.Fatalf("previous snapshot missing: %v", err)
+	for _, seq := range []uint64{2, 3} {
+		if _, err := os.Stat(snapFiles.Path(dir, seq)); err != nil {
+			t.Fatalf("snapshot %d missing: %v", seq, err)
+		}
 	}
 }
 
-// TestJournalAppendDegradesOnDiskFault: an ENOSPC mid-append flips the
-// journal to memory-only (degraded, typed, no panic) instead of surfacing
-// an error to the barrier; a later successful snapshot restores
-// durability.
+// TestJournalAppendDegradesOnDiskFault: an ENOSPC mid-snapshot fails that
+// snapshot (typed, no panic) and keeps the previous one as the recovery
+// point; once the volume frees up, the next snapshot takes the failed
+// one's sequence number.
 func TestJournalAppendDegradesOnDiskFault(t *testing.T) {
 	dir := t.TempDir()
-	// Budget enough for the magic + one record, not two.
-	budget := &faults.FSFault{Budget: 64}
-	calls := 0
+	faulted := false
 	opener := func(path string, flag int) (faults.File, error) {
-		calls++
-		if calls == 1 {
-			// Let the seed snapshot through untouched; fault only the WAL.
-			return faults.OpenOS(path, flag)
+		if faulted {
+			// Budget enough for the magic + one small record, not more.
+			return (&faults.FSFault{Budget: 64}).Opener()(path, flag)
 		}
-		return budget.Opener()(path, flag)
+		return faults.OpenOS(path, flag)
 	}
 	j := openTestJournal(t, dir, opener)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
+	if err := j.snapshot(metaRecords(t, 0)); err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, 256)
-	j.append(journalRec{Tag: jrecCkpt, Slice: 0, Level: 1, Body: big})
-	if !j.Degraded() {
-		t.Fatal("append past the byte budget did not degrade the journal")
+	faulted = true
+	big := (&journalRec{Tag: jrecSlice, Body: make([]byte, 256)}).encode()
+	if err := j.snapshot(append(metaRecords(t, 1), big)); !errors.Is(err, faults.ErrDiskFull) {
+		t.Fatalf("snapshot past the byte budget: %v, want disk full", err)
 	}
-	j.append(journalRec{Tag: jrecGen, Gen: 1}) // must be a silent no-op
-	// A successful snapshot rotation clears the degradation. Use a healthy
-	// opener from here on (the "volume" freed up).
-	j.open = faults.OpenOS
-	if err := j.snapshot([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 1, 1)}).encode()}); err != nil {
+	if got := openTestJournal(t, dir, nil).recovered.meta.Seq; got != 0 {
+		t.Fatalf("after a failed snapshot recovery loads snapshot %d, want 0", got)
+	}
+	faulted = false
+	if err := j.snapshot(metaRecords(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if j.Degraded() {
-		t.Fatal("successful snapshot did not restore durability")
-	}
-	j.append(journalRec{Tag: jrecGen, Gen: 2})
-	if j.Degraded() {
-		t.Fatal("post-recovery append degraded again")
+	if got := openTestJournal(t, dir, nil).recovered.meta.Seq; got != 1 {
+		t.Fatalf("after the volume freed up recovery loads snapshot %d, want 1", got)
 	}
 }
 
 // TestJournalFaultEventsNameCause: the journal's fault events say what
-// failed and why — the same what/cause/truncated_from/truncated_to
-// attributes ledger_torn_tail carries — so a trace alone explains a
-// degraded or truncated journal.
+// failed and why, so a trace alone explains a failed snapshot or a corrupt
+// one skipped at open.
 func TestJournalFaultEventsNameCause(t *testing.T) {
 	var buf bytes.Buffer
 	scope := obs.NewScope(obs.NewTracer(&buf))
 	dir := t.TempDir()
-	seeded := false
+	faulted := false
 	opener := func(path string, flag int) (faults.File, error) {
-		if !seeded {
-			// Let the seed snapshot through untouched; budget every file
-			// after it.
-			seeded = true
-			return faults.OpenOS(path, flag)
+		if faulted {
+			return (&faults.FSFault{Budget: 64}).Opener()(path, flag)
 		}
-		return (&faults.FSFault{Budget: 64}).Opener()(path, flag)
+		return faults.OpenOS(path, flag)
 	}
 	j, err := OpenJournal(dir, JournalOptions{Opener: opener, Scope: scope})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := (&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()
-	if err := j.attachFresh([][]byte{meta}); err != nil {
-		t.Fatal(err)
+	for seq := uint64(0); seq <= 1; seq++ {
+		if err := j.snapshot(metaRecords(t, seq)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	big := journalRec{Tag: jrecCkpt, Slice: 0, Level: 1, Body: make([]byte, 256)}
-	j.append(big)
-	if !j.Degraded() {
-		t.Fatal("append past the byte budget did not degrade the journal")
-	}
-	if err := j.snapshot([][]byte{meta, big.encode()}); err == nil {
+	faulted = true
+	big := (&journalRec{Tag: jrecSlice, Body: make([]byte, 256)}).encode()
+	if err := j.snapshot(append(metaRecords(t, 2), big)); err == nil {
 		t.Fatal("snapshot past the byte budget succeeded")
 	}
 
-	// A torn tail on a healthy journal, truncated by the next open.
-	tornDir := t.TempDir()
-	h := openTestJournal(t, tornDir, nil)
-	if err := h.attachFresh([][]byte{meta}); err != nil {
-		t.Fatal(err)
-	}
-	h.append(journalRec{Tag: jrecGen, Gen: 1})
-	h.wal.Close()
-	f, err := os.OpenFile(walPath(tornDir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	// A corrupt newest snapshot, skipped by the next open.
+	path := snapFiles.Path(dir, 1)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write([]byte{0x22, 0x01, 0x02})
-	f.Close()
-	info, err := os.Stat(walPath(tornDir, 0))
-	if err != nil {
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(tornDir, JournalOptions{Scope: scope}); err != nil {
+	if _, err := OpenJournal(dir, JournalOptions{Scope: scope}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -397,22 +318,17 @@ func TestJournalFaultEventsNameCause(t *testing.T) {
 		events[rec["msg"].(string)] = rec
 	}
 	diskFull := faults.ErrDiskFull.Error()
-	if ev := events["dist_journal_degraded"]; ev["what"] != "append" || !strings.Contains(fmt.Sprint(ev["cause"]), diskFull) {
-		t.Fatalf("dist_journal_degraded event %v, want what=append and a disk-full cause", ev)
-	}
-	if ev := events["dist_journal_snapshot_failed"]; ev["what"] != filepath.Base(snapPath(dir, 1)) || !strings.Contains(fmt.Sprint(ev["cause"]), diskFull) {
+	if ev := events["dist_journal_snapshot_failed"]; ev["what"] != filepath.Base(snapFiles.Path(dir, 2)) || !strings.Contains(fmt.Sprint(ev["cause"]), diskFull) {
 		t.Fatalf("dist_journal_snapshot_failed event %v, want the snapshot file and a disk-full cause", ev)
 	}
-	ev := events["dist_journal_tail_truncated"]
-	if ev["what"] != filepath.Base(walPath(tornDir, 0)) || ev["truncated_from"] != float64(info.Size()) ||
-		ev["truncated_to"] != float64(info.Size()-3) || ev["cause"] == nil {
-		t.Fatalf("dist_journal_tail_truncated event %v, want the WAL cut from %d to %d bytes with a cause", ev, info.Size(), info.Size()-3)
+	if ev := events["dist_journal_snapshot_corrupt"]; !strings.Contains(fmt.Sprint(ev["cause"]), "corrupt") {
+		t.Fatalf("dist_journal_snapshot_corrupt event %v, want a corruption cause", ev)
 	}
 }
 
-// TestJournalSnapshotFailureKeepsWAL: a failing snapshot write leaves the
-// current WAL growing — the journal is NOT degraded, and the mutations
-// since the last good snapshot stay durable in the longer WAL.
+// TestJournalSnapshotFailureKeepsWAL: a failing snapshot write publishes
+// nothing and leaves no temp file behind, so the previous snapshot stays
+// the recovery point, with everything it held.
 func TestJournalSnapshotFailureKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
 	failSnapshots := false
@@ -423,29 +339,34 @@ func TestJournalSnapshotFailureKeepsWAL(t *testing.T) {
 		return faults.OpenOS(path, flag)
 	}
 	j := openTestJournal(t, dir, opener)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
+	level := (&journalRec{Tag: jrecLevel, Fresh: 3, Digest: explore.Fingerprint{5, 6}}).encode()
+	meta := journalMeta{Slices: 1, Levels: 1}
+	body, err := json.Marshal(meta)
+	if err != nil {
 		t.Fatal(err)
 	}
-	j.append(journalRec{Tag: jrecGen, Gen: 1})
+	if err := j.snapshot([][]byte{(&journalRec{Tag: jrecMeta, Body: body}).encode(), level}); err != nil {
+		t.Fatal(err)
+	}
 	failSnapshots = true
-	if err := j.snapshot([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 1, 1)}).encode()}); err == nil {
+	if err := j.snapshot(metaRecords(t, 1)); err == nil {
 		t.Fatal("snapshot with a full disk succeeded")
 	}
-	if j.Degraded() {
-		t.Fatal("failed snapshot degraded the WAL — the WAL is still healthy")
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	j.append(journalRec{Tag: jrecGen, Gen: 2})
-	j.wal.Close()
-
-	j2 := openTestJournal(t, dir, nil)
-	recs := j2.recovered.walRecs
-	if len(recs) != 2 || recs[0].Gen != 1 || recs[1].Gen != 2 {
-		t.Fatalf("WAL after failed snapshot: %+v", recs)
+	if len(names) != 1 || names[0].Name() != filepath.Base(snapFiles.Path(dir, 0)) {
+		t.Fatalf("failed snapshot left %v, want only snapshot 0", names)
+	}
+	st := openTestJournal(t, dir, nil).recovered
+	if st.meta.Seq != 0 || len(st.levels) != 1 || st.levels[0] != (LevelStat{Fresh: 3, Digest: explore.Fingerprint{5, 6}}) {
+		t.Fatalf("recovered snapshot %d with levels %+v, want snapshot 0 with its one level", st.meta.Seq, st.levels)
 	}
 }
 
-// TestJournalSyncFailDegradesSnapshot: a failing fsync fails the snapshot
-// (never publishes a maybe-unsynced file) but keeps the WAL healthy.
+// TestJournalSyncFailDegradesSnapshot: a failing fsync fails the snapshot:
+// a maybe-unsynced file is never published.
 func TestJournalSyncFailDegradesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	failSync := false
@@ -456,18 +377,15 @@ func TestJournalSyncFailDegradesSnapshot(t *testing.T) {
 		return faults.OpenOS(path, flag)
 	}
 	j := openTestJournal(t, dir, opener)
-	if err := j.attachFresh([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 0, 1)}).encode()}); err != nil {
+	if err := j.snapshot(metaRecords(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	failSync = true
-	if err := j.snapshot([][]byte{(&journalRec{Tag: jrecMeta, Body: metaJSON(t, 1, 1)}).encode()}); err == nil {
+	if err := j.snapshot(metaRecords(t, 1)); err == nil {
 		t.Fatal("snapshot with failing fsync succeeded")
 	}
-	if _, err := os.Stat(snapPath(dir, 1)); err == nil {
+	if _, err := os.Stat(snapFiles.Path(dir, 1)); err == nil {
 		t.Fatal("unsynced snapshot was published")
-	}
-	if j.Degraded() {
-		t.Fatal("failed snapshot fsync degraded the WAL")
 	}
 }
 

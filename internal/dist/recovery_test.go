@@ -43,8 +43,8 @@ func corruptNewestSnapshot(t *testing.T, dir string) {
 }
 
 // attachJournal opens the journal at dir and wires it to tr's coordinator,
-// running the recovery sweep to completion.
-func (tr *testRun) attachJournal(t *testing.T, dir string, opener FileOpener) *Journal {
+// recovering from whatever the directory holds.
+func (tr *testRun) attachJournal(t *testing.T, dir string, opener FileOpener) {
 	t.Helper()
 	j, err := OpenJournal(dir, JournalOptions{Opener: opener})
 	if err != nil {
@@ -53,16 +53,11 @@ func (tr *testRun) attachJournal(t *testing.T, dir string, opener FileOpener) *J
 	if err := tr.coord.AttachJournal(j); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.coord.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	return j
 }
 
 // runWorkersUntilLevel runs workers until the coordinator's barrier
 // reaches the level, then cancels them — the in-process stand-in for a
-// coordinator crash mid-run (the journal stops receiving appends at an
-// arbitrary point inside a level).
+// coordinator crash mid-run, at an arbitrary point inside a level.
 func (tr *testRun) runWorkersUntilLevel(t *testing.T, level int, workers ...*Worker) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -94,11 +89,10 @@ func (tr *testRun) runWorkersUntilLevel(t *testing.T, level int, workers ...*Wor
 	}
 }
 
-// TestRecoverMidRunWitnessIdentical is the tentpole's in-process proof: a
-// journaled run is abandoned mid-level, a brand-new coordinator recovers
-// from the journal directory at the exact level, fresh workers finish the
-// run, and the merged witness is byte-identical to the sequential
-// reference.
+// TestRecoverMidRunWitnessIdentical: a journaled run is abandoned
+// mid-level, a brand-new coordinator recovers from the journal directory
+// at the same level, fresh workers finish the run, and the merged witness
+// is byte-identical to the sequential reference.
 func TestRecoverMidRunWitnessIdentical(t *testing.T) {
 	dir := t.TempDir()
 	tr1 := newTestRun(t, 3, 3, 6, 5000)
@@ -118,16 +112,7 @@ func TestRecoverMidRunWitnessIdentical(t *testing.T) {
 	if err := tr2.coord.AttachJournal(j2); err != nil {
 		t.Fatal(err)
 	}
-	if !tr2.coord.Recovering() {
-		t.Fatal("coordinator not in the recovery window after attaching recovered state")
-	}
-	if err := tr2.coord.Recover(); err != nil {
-		t.Fatal(err)
-	}
 	st2 := tr2.coord.Status()
-	if st2.Recovering {
-		t.Fatal("still recovering after the sweep")
-	}
 	if st2.Level != st1.Level {
 		t.Fatalf("recovered at level %d, crashed at %d", st2.Level, st1.Level)
 	}
@@ -198,136 +183,72 @@ func TestRecoverFinishedRun(t *testing.T) {
 	}
 }
 
-// TestRecoveryWindowGatesAndStashes covers the recovery window's HTTP
-// contract: worker endpoints answer 503 + Retry-After, liveness stays 200,
-// readiness is 503, and chunk POSTs are stashed idempotently with the
-// journaled copy winning over late reposts (the satellite-6 fix).
-func TestRecoveryWindowGatesAndStashes(t *testing.T) {
+// TestRecoverEpochsFenceZombies: epochs granted after a restart sit above
+// the new generation's base, so nothing a pre-crash grant issued can ever
+// collide with them — also when the post-recovery snapshot that made the
+// generation durable is corrupt and recovery falls back past it.
+func TestRecoverEpochsFenceZombies(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 4, 5000)
+	grant := func(tr *testRun) int {
+		t.Helper()
+		resp := tr.coord.poll(context.Background(), "w")
+		if len(resp.Slices) != 1 {
+			t.Fatalf("no grant: %+v", resp)
+		}
+		return resp.Slices[0].Epoch
+	}
+	tr1 := newTestRun(t, 3, 1, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
-	c1 := tr1.coord
-	// w owns both slices at level 0. A second poll would not grant the
-	// second slice inside the grant grace, so lease both directly.
-	c1.mu.Lock()
-	for s := range c1.slices {
-		c1.assignLocked(s, "w")
-	}
-	c1.heartbeatLocked("w", time.Now())
-	c1.mu.Unlock()
-	entries := []Entry{{FP: explore.Fingerprint{7, 8}, Path: []uint32{1}}}
-	journaled, err := EncodeFrontierChunk(0, 0, 1, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.putChunk("w", journaled); err != nil {
-		t.Fatal(err)
-	}
+	epochs := []int{grant(tr1)}
+	gens := []int{tr1.coord.Status().Gen}
 	tr1.srv.Close()
 
-	// Restart into the recovery window: attach but do not recover yet.
-	tr2 := newTestRun(t, 3, 2, 4, 5000)
-	j2, err := OpenJournal(dir, JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr2.coord.AttachJournal(j2); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(tr2.coord.Handler())
-	defer srv.Close()
-
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			// The second incarnation granted under a generation only its
+			// post-recovery snapshot holds; lose that snapshot.
+			corruptNewestSnapshot(t, dir)
 		}
-		resp.Body.Close()
-		return resp
-	}
-	if resp := get("/dist/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz during recovery: %s", resp.Status)
-	}
-	if resp := get("/dist/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz during recovery: %s", resp.Status)
-	}
-	pollResp, err := http.Post(srv.URL+"/dist/poll?worker=w", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pollResp.Body.Close()
-	if pollResp.StatusCode != http.StatusServiceUnavailable || pollResp.Header.Get("Retry-After") == "" {
-		t.Fatalf("poll during recovery: %s, Retry-After %q", pollResp.Status, pollResp.Header.Get("Retry-After"))
-	}
-
-	// A delayed duplicate of the journaled chunk with different bytes (a
-	// zombie's divergent repost) and a genuinely new chunk, both during
-	// the window. Neither may 409; the first must lose to the journal.
-	divergent, err := EncodeFrontierChunk(0, 0, 1, []Entry{{FP: explore.Fingerprint{9, 9}, Path: []uint32{2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := EncodeFrontierChunk(0, 1, 0, []Entry{{FP: explore.Fingerprint{5, 6}, Path: []uint32{3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, body := range [][]byte{divergent, fresh, fresh} { // repeat: idempotent
-		resp, err := http.Post(srv.URL+"/dist/chunk?worker=zombie", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		tr := newTestRun(t, 3, 1, 4, 5000)
+		tr.attachJournal(t, dir, nil)
+		epoch, gen := grant(tr), tr.coord.Status().Gen
+		if base := gen << epochGenShift; epoch <= base || epoch <= epochs[len(epochs)-1] || gen <= gens[len(gens)-1] {
+			t.Fatalf("incarnation %d: epoch %d (gen %d, base %d) does not fence earlier epochs %v (gens %v)",
+				i+2, epoch, gen, base, epochs, gens)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNoContent {
-			t.Fatalf("chunk POST during recovery window: %s", resp.Status)
-		}
-	}
-
-	if err := tr2.coord.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if resp := get("/dist/readyz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz after recovery: %s", resp.Status)
-	}
-	got, err := tr2.coord.getChunk(0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, journaled) {
-		t.Fatal("divergent repost during the recovery window overwrote the journaled chunk")
-	}
-	stashed, err := tr2.coord.getChunk(0, 1, 0)
-	if err != nil {
-		t.Fatalf("chunk stashed during the recovery window was not installed: %v", err)
-	}
-	if !bytes.Equal(stashed, fresh) {
-		t.Fatal("stashed chunk bytes mangled")
+		epochs, gens = append(epochs, epoch), append(gens, gen)
+		tr.srv.Close()
 	}
 }
 
-// TestRecoverEpochsFenceZombies: epochs granted after a restart sit above
-// the new generation's base, so nothing a pre-crash grant issued can ever
-// collide with them.
-func TestRecoverEpochsFenceZombies(t *testing.T) {
+// TestAttachJournalFailsWithoutDurableGeneration: when the post-recovery
+// snapshot cannot be published, AttachJournal fails rather than let the
+// coordinator grant under a generation no snapshot holds, and the journal
+// directory keeps only what it held.
+func TestAttachJournalFailsWithoutDurableGeneration(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 1, 4, 5000)
+	tr1 := newTestRun(t, 3, 2, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
-	pre := tr1.coord.poll(context.Background(), "w")
-	if len(pre.Slices) != 1 {
-		t.Fatalf("no grant: %+v", pre)
-	}
 	tr1.srv.Close()
-
-	tr2 := newTestRun(t, 3, 1, 4, 5000)
-	tr2.attachJournal(t, dir, nil)
-	post := tr2.coord.poll(context.Background(), "w")
-	if len(post.Slices) != 1 {
-		t.Fatalf("no grant after recovery: %+v", post)
+	before, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	gen := tr2.coord.Status().Gen
-	if base := gen << epochGenShift; post.Slices[0].Epoch <= base || post.Slices[0].Epoch <= pre.Slices[0].Epoch {
-		t.Fatalf("post-recovery epoch %d (gen %d, base %d) does not fence pre-crash epoch %d",
-			post.Slices[0].Epoch, gen, base, pre.Slices[0].Epoch)
+
+	tr2 := newTestRun(t, 3, 2, 4, 5000)
+	j, err := OpenJournal(dir, JournalOptions{Opener: (&faults.FSFault{FailSync: true}).Opener()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr2.coord.AttachJournal(j); err == nil {
+		t.Fatal("recovery whose snapshot could not be published attached without error")
+	}
+	after, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("failed recovery changed the journal directory: %v -> %v", before, after)
 	}
 }
 
@@ -350,43 +271,66 @@ func TestAttachJournalSpecMismatch(t *testing.T) {
 	}
 }
 
-// TestRecoverWithDegradedJournal: a journal on a "failing disk" (every WAL
-// file hits ENOSPC almost immediately) degrades to memory-only without
-// disturbing the barrier — the run completes and the witness matches. The
-// snapshots are left healthy so rotation keeps re-arming the WAL; the test
-// proves the degradation path is invisible to correctness either way.
+// TestRecoverWithDegradedJournal: a journal on a "failing disk" (every
+// level-close snapshot hits ENOSPC) does not disturb the barrier — the run
+// completes and the witness matches. A restart then recovers from the
+// last snapshot that landed, the empty run's, and redoes every level to
+// the same witness.
 func TestRecoverWithDegradedJournal(t *testing.T) {
 	dir := t.TempDir()
 	tr := newTestRun(t, 3, 2, 5, 5000)
+	seeded := false
 	opener := func(path string, flag int) (faults.File, error) {
-		if len(path) > 4 && path[len(path)-4:] == ".seg" {
+		if seeded {
 			return (&faults.FSFault{Budget: 16}).Opener()(path, flag)
 		}
+		seeded = true
 		return faults.OpenOS(path, flag)
 	}
 	tr.attachJournal(t, dir, opener)
-	got := tr.runWorkers(t, tr.worker("w", 9, nil))
-	if want := tr.sequential(t); !bytes.Equal(got, want) {
+	want := tr.sequential(t)
+	if got := tr.runWorkers(t, tr.worker("w", 9, nil)); !bytes.Equal(got, want) {
 		t.Fatalf("witness with degraded journal differs:\n--- distributed\n%s--- sequential\n%s", got, want)
+	}
+	tr.srv.Close()
+
+	tr2 := newTestRun(t, 3, 2, 5, 5000)
+	tr2.attachJournal(t, dir, nil)
+	if st := tr2.coord.Status(); st.Level != 0 || st.Done {
+		t.Fatalf("recovered %+v, want level 0 from the only snapshot that landed", st)
+	}
+	if got := tr2.runWorkers(t, tr2.worker("w2", 10, nil)); !bytes.Equal(got, want) {
+		t.Fatalf("witness after redoing every level differs:\n--- distributed\n%s--- sequential\n%s", got, want)
 	}
 }
 
-// TestRecoverFromSnapshotCorruption: corrupt the newest snapshot after a
-// mid-run crash; the coordinator falls back to the previous snapshot plus
-// both WALs and still finishes with the identical witness.
+// TestRecoverFromSnapshotCorruption: after a mid-run crash and a recovery,
+// corrupt the recovery's own snapshot; the next coordinator falls back to
+// the level-close snapshot before it, at the crash level, under a
+// generation strictly above the one the lost snapshot held, and still
+// finishes with the identical witness.
 func TestRecoverFromSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
 	tr1 := newTestRun(t, 3, 2, 6, 5000)
 	tr1.attachJournal(t, dir, nil)
 	tr1.runWorkersUntilLevel(t, 2, tr1.worker("a", 1, nil), tr1.worker("b", 2, nil))
+	st1 := tr1.coord.Status()
 	tr1.srv.Close()
-
-	corruptNewestSnapshot(t, dir)
 
 	tr2 := newTestRun(t, 3, 2, 6, 5000)
 	tr2.attachJournal(t, dir, nil)
-	got := tr2.runWorkers(t, tr2.worker("c", 3, nil))
-	if want := tr2.sequential(t); !bytes.Equal(got, want) {
+	st2 := tr2.coord.Status()
+	tr2.srv.Close()
+	corruptNewestSnapshot(t, dir)
+
+	tr3 := newTestRun(t, 3, 2, 6, 5000)
+	tr3.attachJournal(t, dir, nil)
+	st3 := tr3.coord.Status()
+	if st3.Level != st1.Level || st3.Gen <= st2.Gen {
+		t.Fatalf("fallback recovered %+v; want level %d and a generation above %d", st3, st1.Level, st2.Gen)
+	}
+	got := tr3.runWorkers(t, tr3.worker("c", 3, nil))
+	if want := tr3.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("witness after snapshot-corruption fallback differs:\n--- recovered\n%s--- sequential\n%s", got, want)
 	}
 }
@@ -394,8 +338,7 @@ func TestRecoverFromSnapshotCorruption(t *testing.T) {
 // TestAttachJournalRefusesOtherFormat: a journal whose snapshot carries no
 // format — the two-phase coordinator's, whose levels list at level L
 // already holds depth L — is refused with both formats named, before the
-// coordinator enters the recovery window: replaying it would count a depth
-// twice.
+// coordinator changes: recovering from it would count a depth twice.
 func TestAttachJournalRefusesOtherFormat(t *testing.T) {
 	dir := t.TempDir()
 	tr := newTestRun(t, 3, 2, 4, 5000)
@@ -412,13 +355,12 @@ func TestAttachJournalRefusesOtherFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := openTestJournal(t, dir, nil)
-	if err := old.attachFresh([][]byte{
+	if err := old.snapshot([][]byte{
 		(&journalRec{Tag: jrecMeta, Body: meta}).encode(),
 		(&journalRec{Tag: jrecLevel, Fresh: 1, Digest: tr.coord.rootFP}).encode(),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	old.closeWAL()
 
 	j := openTestJournal(t, dir, nil)
 	if !j.Recovered() {
@@ -431,25 +373,43 @@ func TestAttachJournalRefusesOtherFormat(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "format 0") || !strings.Contains(msg, fmt.Sprintf("format %d", journalFormat)) {
 		t.Fatalf("refusal %q does not name both formats", msg)
 	}
-	if st := tr.coord.Status(); st.Recovering || st.Level != 0 {
+	if st := tr.coord.Status(); st.Gen != 0 || st.Level != 0 {
 		t.Fatalf("refused journal still moved the coordinator: %+v", st)
 	}
 }
 
-// TestMarkSurvivesRecovery: a slice marked before a coordinator crash
-// keeps its mark through Recover — it was posted after the slice's
-// checkpoint and chunks, so whoever owns the slice next can adopt it — and
-// finishing the run posts no chunk for that slice and level again.
-func TestMarkSurvivesRecovery(t *testing.T) {
+// markedSlices counts the slices holding a barrier mark for the current
+// level.
+func markedSlices(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for s := range c.slices {
+		if c.slices[s].expanded {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMidLevelCrashRedoesLevel: the coordinator dies after one of two
+// slices marked level L. The marks and the chunks posted since the level
+// opened are lost; the recovered coordinator sits at level L with no
+// marks, the redone level reposts byte-identical chunks, and the witness
+// still equals the sequential one.
+func TestMidLevelCrashRedoesLevel(t *testing.T) {
+	const crashLevel = 2
 	dir := t.TempDir()
 	tr1 := newTestRun(t, 3, 2, 6, 5000)
 	tr1.attachJournal(t, dir, nil)
-	ctx := context.Background()
-	// Mark level 0 of the root's slice, the one with children to ship.
-	rootSlice := explore.ShardOf(tr1.coord.rootFP, 2)
 	c1 := tr1.coord
+	ctx := context.Background()
+	// One worker drives both slices level by level, then marks only the
+	// root's slice at the crash level.
 	c1.mu.Lock()
-	c1.assignLocked(rootSlice, "pre")
+	for s := range c1.slices {
+		c1.assignLocked(s, "pre")
+	}
 	c1.mu.Unlock()
 	pre := tr1.worker("pre", 1, nil)
 	cl := newClient(tr1.srv.URL, pre.ID, pre.Seed)
@@ -457,19 +417,37 @@ func TestMarkSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Slices) != 1 || resp.Slices[0].Slice != rootSlice {
-		t.Fatalf("pre leases %v, want only slice %d", ownedSlices(resp), rootSlice)
-	}
-	st, err := pre.adopt(ctx, cl, tr1.spec, c1.rootFP, resp.Slices[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := explore.NewExpander(model.NewCanonCodec(pre.Root, pre.Opts.Canon), pre.Opts)
-	var fired bool
-	if err := pre.runLevel(ctx, cl, tr1.spec, x, rootSlice, st, 0, &fired); err != nil {
-		t.Fatal(err)
+	states := map[int]*sliceState{}
+	for _, ps := range resp.Slices {
+		if states[ps.Slice], err = pre.adopt(ctx, cl, tr1.spec, c1.rootFP, ps); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(c1.chunkSources(0, 0))+len(c1.chunkSources(0, 1)) == 0 {
+	var fired bool
+	marked := explore.ShardOf(c1.rootFP, 2)
+	for level := 0; level <= crashLevel; level++ {
+		for s := range c1.slices {
+			if level == crashLevel && s != marked {
+				continue
+			}
+			if err := pre.runLevel(ctx, cl, tr1.spec, x, s, states[s], level, &fired); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := c1.Status(); st.Level != crashLevel || markedSlices(c1) != 1 {
+		t.Fatalf("before the crash: %+v with %d marks, want level %d with 1", st, markedSlices(c1), crashLevel)
+	}
+	posted := map[string][]byte{}
+	c1.mu.Lock()
+	for key, body := range c1.chunks {
+		if key.level == crashLevel {
+			posted[fmt.Sprintf("%d->%d", key.from, key.to)] = body
+		}
+	}
+	c1.mu.Unlock()
+	if len(posted) == 0 {
 		t.Fatal("the marked slice shipped no chunk; the test would prove nothing")
 	}
 	tr1.srv.Close()
@@ -477,14 +455,11 @@ func TestMarkSurvivesRecovery(t *testing.T) {
 	tr2 := newTestRun(t, 3, 2, 6, 5000)
 	tr2.attachJournal(t, dir, nil)
 	c2 := tr2.coord
-	c2.mu.Lock()
-	kept, level := c2.slices[rootSlice].expanded, c2.level
-	c2.mu.Unlock()
-	if !kept || level != 0 {
-		t.Fatalf("after Recover: level %d, slice %d marked %v; want level 0 with the mark kept", level, rootSlice, kept)
+	if st := c2.Status(); st.Level != crashLevel || markedSlices(c2) != 0 {
+		t.Fatalf("after recovery: %+v with %d marks, want level %d with none", st, markedSlices(c2), crashLevel)
 	}
 	var mu sync.Mutex
-	var reposted []string
+	reposted := map[string][]byte{}
 	handler := c2.Handler()
 	tr2.srv.Close()
 	tr2.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -494,9 +469,9 @@ func TestMarkSurvivesRecovery(t *testing.T) {
 				t.Error(err)
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
-			if h, _, err := checkpoint.DecodeChunk(body); err == nil && h.Level == 0 && h.From == rootSlice {
+			if h, _, err := checkpoint.DecodeChunk(body); err == nil && h.Level == crashLevel {
 				mu.Lock()
-				reposted = append(reposted, fmt.Sprintf("%d->%d", h.From, h.To))
+				reposted[fmt.Sprintf("%d->%d", h.From, h.To)] = body
 				mu.Unlock()
 			}
 		}
@@ -509,7 +484,57 @@ func TestMarkSurvivesRecovery(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(reposted) != 0 {
-		t.Fatalf("level-0 chunks of the marked slice posted again after recovery: %v", reposted)
+	for key, body := range posted {
+		if again, ok := reposted[key]; !ok || !bytes.Equal(again, body) {
+			t.Fatalf("level %d chunk %s: redo reposted %d bytes (present %v), want the %d bytes posted before the crash",
+				crashLevel, key, len(again), ok, len(body))
+		}
+	}
+}
+
+// TestRecoverParentJournal: a journal directory written when the
+// coordinator still kept a write-ahead log next to its snapshots — crashed
+// after one of two slices marked level 2, so wal-00000002.seg holds that
+// slice's checkpoint, chunks and mark — still recovers. The snapshot
+// alone counts: the coordinator comes up at level 2 with no marks, and the
+// workers finish with the sequential witness. The WAL files are ignored
+// and left in place.
+func TestRecoverParentJournal(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "parent-journal")
+	names, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wals []string
+	for _, e := range names {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(e.Name(), "wal-") {
+			wals = append(wals, e.Name())
+		}
+	}
+	if len(wals) == 0 {
+		t.Fatal("the parent journal holds no WAL; the test would prove nothing")
+	}
+
+	tr := newTestRun(t, 3, 2, 6, 5000)
+	tr.attachJournal(t, dir, nil)
+	if st := tr.coord.Status(); st.Level != 2 || st.Gen != 1 || markedSlices(tr.coord) != 0 {
+		t.Fatalf("recovered %+v with %d marks, want level 2, generation 1, no marks", st, markedSlices(tr.coord))
+	}
+	got := tr.runWorkers(t, tr.worker("a", 1, nil), tr.worker("b", 2, nil))
+	if want := tr.sequential(t); !bytes.Equal(got, want) {
+		t.Fatalf("witness from the parent journal differs:\n--- recovered\n%s--- sequential\n%s", got, want)
+	}
+	for _, name := range wals {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("WAL file %s not left in place: %v", name, err)
+		}
 	}
 }
